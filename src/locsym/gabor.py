@@ -1,4 +1,4 @@
-"""Full-lattice discrete Gabor transform, synthesis and spectrograms.
+"""Full-lattice discrete Gabor transform, synthesis, spectrograms, lower symbols.
 
 The lattice is the full grid (hop 1, L frequency bins), which makes the
 frame tight: synthesis carries a 1/L factor so analysis-then-synthesis is
@@ -24,6 +24,33 @@ def _roll_table(length: int) -> np.ndarray:
     return idx
 
 
+def _from_diagonals(diag: np.ndarray) -> np.ndarray:
+    """The matrix M with M[s, (s - d) mod L] = diag[d, s]."""
+    out = np.empty_like(diag)
+    out[np.arange(diag.shape[0]), _roll_table(diag.shape[0])] = diag
+    return out
+
+
+def _lag_product(g: np.ndarray) -> np.ndarray:
+    """Q[d, u] = g[u] conj(g[(u - d) mod L])."""
+    return g[None, :] * g[_roll_table(g.size)].conj()
+
+
+def lower_symbol(matrix: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """<M pi(n, m) phi, pi(n, m) phi> at every lattice point, O(L^2 log L).
+
+    Each diagonal M[s, s-d] is cross-correlated over s with the lag product
+    of phi, then an FFT runs over d.  Complex unless M is Hermitian.
+    """
+    length = phi.size
+    if matrix.shape != (length, length):
+        raise ValidationError(f"matrix {matrix.shape} != window length {length}")
+    diag = matrix[np.arange(length), _roll_table(length)]
+    corr_hat = (np.fft.fft(diag, axis=1)
+                * np.fft.fft(_lag_product(phi), axis=1).conj())
+    return np.fft.fft(np.fft.ifft(corr_hat, axis=1), axis=0).T
+
+
 def _check_pair(psi: np.ndarray, g: np.ndarray):
     if psi.size != g.size:
         raise ValidationError(
@@ -40,12 +67,6 @@ def dgt(psi, g) -> np.ndarray:
     _check_pair(psi, g)
     shifted = g[_roll_table(psi.size)]
     return np.fft.fft(psi[None, :] * shifted.conj(), axis=1)
-
-
-def _dgt_stack(signals: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """dgt of each row of ``signals``; returns shape (batch, L, L)."""
-    shifted = g[_roll_table(g.size)]
-    return np.fft.fft(signals[:, None, :] * shifted.conj()[None, :, :], axis=2)
 
 
 def dgt_adjoint(coeffs, g) -> np.ndarray:

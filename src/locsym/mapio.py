@@ -103,13 +103,14 @@ def save_csv(grid, path):
 
 def load_csv(path) -> np.ndarray:
     """Read a square map written by :func:`save_csv`."""
-    rows = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(tok) for tok in line.split(",")])
-    f = np.array(rows, dtype=np.float64)
+        rows = [line.split(",") for line in fh if line.strip()]
+    if len({len(row) for row in rows}) > 1:
+        raise ValidationError(f"{path}: rows differ in length")
+    try:
+        f = np.array([[float(tok) for tok in row] for row in rows])
+    except ValueError as exc:
+        raise ValidationError(f"{path}: non-numeric cell") from exc
     if f.ndim != 2 or f.shape[0] != f.shape[1]:
         raise ValidationError(f"{path}: expected a square map, got {f.shape}")
     return f

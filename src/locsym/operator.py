@@ -2,13 +2,15 @@
 
 A symbol f on the phase plane and a window system S define the dense L x L
 matrix A = (1/L) sum_z f[z] sum_k s_k (pi(z) g_k)(pi(z) g_k)*.  The 1/L
-normalization makes f = 1 give the identity.  Dense storage is deliberate:
-the estimators need the full spectrum and L stays at desk scale (<= 256).
+normalization makes f = 1 give the identity.  Each diagonal of A is a
+circular convolution, so assembly costs O(L^2 log L) per window.  Dense
+storage is deliberate: the estimators need the full spectrum.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -17,7 +19,7 @@ import numpy as np
 
 from .core import WindowSystem, as_signal
 from .errors import NotSelfAdjointError, ValidationError
-from .gabor import _roll_table
+from .gabor import _from_diagonals, _lag_product
 
 HERMITIAN_REJECT_TOL = 1e-6
 DEGENERACY_GAP = 1e-8
@@ -57,23 +59,12 @@ class Spectrum:
         return self.eigenvalues.size
 
 
-def _single_window_matrix(symbol_rows_ifft: np.ndarray, g: np.ndarray,
-                          diff: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    length = g.size
-    shifted = g[idx]
-    acc = np.zeros((length, length), dtype=np.complex128)
-    for n in range(length):
-        gn = shifted[n]
-        acc += np.outer(gn, gn.conj()) * symbol_rows_ifft[n][diff]
-    return acc
-
-
 def build_locop(symbol, windows: WindowSystem) -> LocOperator:
     """Assemble the localization operator for ``symbol`` over ``windows``.
 
-    O(L^3) per window: the frequency sum per lattice row collapses to one
-    inverse FFT, leaving a circulant-weighted rank-one accumulation over
-    time shifts.  Hermitian (up to roundoff) whenever the symbol is real.
+    Diagonal A[s, s-d] is the circular convolution over time shift n of
+    ifft_m f[n, d] with g[u] conj(g[u-d]): O(L^2 log L) per window.
+    Hermitian (up to roundoff) whenever the symbol is real.
     """
     f = np.asarray(symbol)
     if f.ndim != 2 or f.shape[0] != f.shape[1]:
@@ -85,16 +76,13 @@ def build_locop(symbol, windows: WindowSystem) -> LocOperator:
         raise ValidationError(
             f"window length {windows.length} != symbol size {length}"
         )
-    # rows_ifft[n, k] = (1/L) sum_m f[n, m] exp(2 pi i m k / L)
-    rows_ifft = np.fft.ifft(np.asarray(f, dtype=np.complex128), axis=1)
-    t = np.arange(length)
-    diff = (t[:, None] - t[None, :]) % length
-    idx = _roll_table(length)
-    acc = np.zeros((length, length), dtype=np.complex128)
+    rows_hat = np.fft.fft(np.fft.ifft(f, axis=1), axis=0).T
+    diag = np.zeros((length, length), dtype=np.complex128)
     for w, g in windows:
-        acc += w * _single_window_matrix(rows_ifft, g, diff, idx)
+        diag += w * np.fft.ifft(rows_hat * np.fft.fft(_lag_product(g), axis=1),
+                                axis=1)
     digest = hashlib.sha256(np.ascontiguousarray(f).tobytes()).hexdigest()[:16]
-    return LocOperator(acc, windows, digest)
+    return LocOperator(_from_diagonals(diag), windows, digest)
 
 
 def apply(op: LocOperator, psi) -> np.ndarray:
@@ -169,15 +157,15 @@ def save_locop(op: LocOperator, path):
 
 
 def load_locop(path) -> LocOperator:
-    """Read a matrix dumped by :func:`save_locop`."""
+    """Read a matrix dumped by :func:`save_locop`; it must be finite."""
     with open(path, "rb") as fh:
         header = fh.read(16)
         if len(header) != 16 or header[:6] != _DUMP_MAGIC:
             raise ValidationError(f"{path}: not a LOCOP1 dump")
         (length,) = struct.unpack("<I", header[8:12])
+        if os.fstat(fh.fileno()).st_size != 16 + 16 * length * length:
+            raise ValidationError(f"{path}: file size does not match L = {length}")
         data = np.frombuffer(fh.read(), dtype="<c16")
-    if data.size != length * length:
-        raise ValidationError(
-            f"{path}: expected {length * length} entries, found {data.size}"
-        )
+    if not np.all(np.isfinite(data)):
+        raise ValidationError(f"{path}: operator has non-finite entries")
     return LocOperator(data.reshape(length, length).astype(np.complex128))

@@ -1,15 +1,20 @@
 """Symbol recovery: the five estimators, impulse kernels and deconvolution.
 
+Each estimator is the lower symbol <M pi(z) phi, pi(z) phi> or the
+Weyl-type symbol of one matrix M; A_N keeps A's N leading eigenpairs.
+
 Methods
 -------
-wn    white-noise probing: average spectrogram of operator-filtered noise,
-      normalized by an estimated noise variance; targets the squared symbol.
-was   weighted accumulated Cohen's class over the leading eigenpairs.
-wawd  weighted accumulated Wigner distribution over the leading eigenpairs.
-pt    plane tiling: accumulate spectrograms of operator images of an
-      orthonormal family; with a complete basis it equals wn_limit exactly.
-gp    Gabor projection: pointwise quadratic form <A pi(z) phi, pi(z) phi>,
-      which equals the symbol blurred by a known unit-mass kernel.
+wn    white-noise probing: lower symbol of the filtered noise covariance,
+      over the estimated noise variance; targets the squared symbol.
+was   weighted accumulated Cohen's class: sum_j t_j lower symbol of A_N.
+wawd  weighted accumulated Wigner distribution: Weyl symbol of A_N.
+pt    plane tiling: lower symbol of B B*, B = A E^T the operator images of
+      an orthonormal family; a complete basis gives wn_limit (A A*) exactly.
+gp    Gabor projection: lower symbol of A, which equals the symbol blurred
+      by a known unit-mass kernel.
+
+wn, pt and wn_limit symbolize PSD matrices and are clipped at zero.
 
 In finite dimension the identity chain is exact: gp over the full grid,
 was with all L eigenpairs and a rank-one reconstruction system, and the
@@ -24,11 +29,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import WindowSystem, as_signal, tf_shift
+from .core import WindowSystem, as_signal
 from .errors import DegenerateKernelError, NumericalError, ValidationError
-from .gabor import _dgt_stack, spectrogram
+from .gabor import lower_symbol, spectrogram
 from .operator import LocOperator, Spectrum, build_locop, eigendecompose
-from .wigner import cohen_class, wigner
+from .wigner import weyl_symbol
 
 _NOISE_BATCH = 128
 
@@ -42,10 +47,24 @@ class RecoveryResult:
     meta: dict = field(default_factory=dict)
 
 
-def _check_unit(phi: np.ndarray, what: str = "reconstruction window"):
+def _unit_window(phi) -> np.ndarray:
+    phi = as_signal(phi)
     nrm = np.linalg.norm(phi)
     if abs(nrm - 1.0) > 1e-9:
-        raise ValidationError(f"{what} must be unit-norm, got ||.|| = {nrm!r}")
+        raise ValidationError(
+            f"reconstruction window must be unit-norm, got ||.|| = {nrm!r}")
+    return phi
+
+
+def _eigen_sum(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """sum_i values[i] h_i h_i* over the eigenvector rows h_i."""
+    return (vectors.T * values) @ vectors.conj()
+
+
+def _psd_symbol(matrix: np.ndarray, phi: np.ndarray):
+    """Lower symbol of a PSD matrix clipped at zero, and the clipped magnitude."""
+    est = lower_symbol(matrix, phi).real
+    return np.maximum(est, 0.0), max(0.0, -float(est.min()))
 
 
 def wn_limit(spectrum: Spectrum, phi) -> np.ndarray:
@@ -55,12 +74,9 @@ def wn_limit(spectrum: Spectrum, phi) -> np.ndarray:
     plane-tiling sum.  Invariant under negating the operator because only
     squared eigenvalues enter.
     """
-    phi = as_signal(phi)
-    _check_unit(phi)
-    out = np.zeros((spectrum.size, spectrum.size))
-    for lam, h in zip(spectrum.eigenvalues, spectrum.eigenvectors):
-        out += (lam * lam) * spectrogram(h, phi)
-    return out
+    phi = _unit_window(phi)
+    lam = spectrum.eigenvalues
+    return _psd_symbol(_eigen_sum(lam * lam, spectrum.eigenvectors), phi)[0]
 
 
 def _noise_realization(seed: int, k: int, length: int, scale: float,
@@ -91,8 +107,7 @@ def wn_recover(op: LocOperator, phi, draws: int, noise_var: float,
     (kept behind a flag: constants degrade, and nothing downstream
     depends on it).
     """
-    phi = as_signal(phi)
-    _check_unit(phi)
+    phi = _unit_window(phi)
     if draws < 1:
         raise ValidationError(f"draws must be >= 1, got {draws}")
     if not noise_var > 0:
@@ -101,8 +116,8 @@ def wn_recover(op: LocOperator, phi, draws: int, noise_var: float,
         raise ValidationError("operator and window sizes differ")
     length = op.size
     scale = math.sqrt(noise_var / 2.0)
-    avg = np.zeros((length, length))
-    level = 0.0
+    covariance = np.zeros((length, length), dtype=np.complex128)
+    energy = 0.0
     for lo in range(0, draws, _NOISE_BATCH):
         hi = min(lo + _NOISE_BATCH, draws)
         noise = np.stack([
@@ -110,12 +125,10 @@ def wn_recover(op: LocOperator, phi, draws: int, noise_var: float,
             for k in range(lo, hi)
         ])
         filtered = noise @ op.matrix.T
-        v = _dgt_stack(filtered, phi)
-        avg += np.sum(v.real ** 2 + v.imag ** 2, axis=0)
-        v = _dgt_stack(noise, phi)
-        level += float(np.sum(v.real ** 2 + v.imag ** 2))
-    avg /= draws
-    noise_var_hat = level / (draws * length * length)
+        covariance += filtered.T @ filtered.conj()
+        energy += float(np.sum(noise.real ** 2 + noise.imag ** 2))
+    avg, clip = _psd_symbol(covariance / draws, phi)
+    noise_var_hat = energy / (draws * length)
     meta = {
         "draws": draws,
         "noise_var": noise_var,
@@ -123,8 +136,18 @@ def wn_recover(op: LocOperator, phi, draws: int, noise_var: float,
         "seed": seed,
         "real_noise": real_noise,
         "avg_observed": avg,
+        "psd_clip": clip / noise_var_hat,
     }
     return RecoveryResult(avg / noise_var_hat, "wn", meta)
+
+
+def _truncation(spectrum: Spectrum, terms: int) -> np.ndarray:
+    """A_N: the operator rebuilt from its ``terms`` leading eigenpairs."""
+    if not 1 <= terms <= spectrum.size:
+        raise ValidationError(
+            f"terms must be in 1..{spectrum.size}, got {terms}"
+        )
+    return _eigen_sum(spectrum.eigenvalues[:terms], spectrum.eigenvectors[:terms])
 
 
 def was_recover(spectrum: Spectrum, system: WindowSystem,
@@ -135,13 +158,8 @@ def was_recover(spectrum: Spectrum, system: WindowSystem,
     eigenpairs.  With all terms and a rank-one system this is the Gabor
     projection estimator, computed through spectral data instead.
     """
-    if not 1 <= terms <= spectrum.size:
-        raise ValidationError(
-            f"terms must be in 1..{spectrum.size}, got {terms}"
-        )
-    out = np.zeros((spectrum.size, spectrum.size))
-    for lam, h in zip(spectrum.eigenvalues[:terms], spectrum.eigenvectors[:terms]):
-        out += lam * cohen_class(h, system)
+    truncated = _truncation(spectrum, terms)
+    out = sum(w * lower_symbol(truncated, tau).real for w, tau in system)
     tail = float(np.sum(np.abs(spectrum.eigenvalues[terms:])))
     return RecoveryResult(out, "was", {"terms": terms, "eig_tail_mass": tail})
 
@@ -153,13 +171,7 @@ def wawd_recover(spectrum: Spectrum, terms: int) -> RecoveryResult:
     convolution (1/L)(f conv W(g)); for even L the Wigner frequency
     aliasing leaks into the estimate, which the meta flag records.
     """
-    if not 1 <= terms <= spectrum.size:
-        raise ValidationError(
-            f"terms must be in 1..{spectrum.size}, got {terms}"
-        )
-    out = np.zeros((spectrum.size, spectrum.size))
-    for lam, h in zip(spectrum.eigenvalues[:terms], spectrum.eigenvectors[:terms]):
-        out += lam * wigner(h)
+    out = weyl_symbol(_truncation(spectrum, terms)).real
     tail = float(np.sum(np.abs(spectrum.eigenvalues[terms:])))
     meta = {
         "terms": terms,
@@ -175,57 +187,41 @@ def pt_recover(op: LocOperator, basis, phi) -> RecoveryResult:
     ``basis`` is any orthonormal family (rows), full or partial.  With a
     complete basis the sum equals wn_limit for any basis whatsoever.
     """
-    phi = as_signal(phi)
-    _check_unit(phi)
+    phi = _unit_window(phi)
     family = np.atleast_2d(np.asarray(basis, dtype=np.complex128))
     if family.shape[1] != op.size:
         raise ValidationError("basis length does not match operator size")
     gram = family @ family.conj().T
     if np.max(np.abs(gram - np.eye(family.shape[0]))) > 1e-8:
         raise ValidationError("basis must be orthonormal within 1e-8")
-    out = np.zeros((op.size, op.size))
-    for e in family:
-        out += spectrogram(op.matrix @ e, phi)
-    return RecoveryResult(out, "pt", {"basis_size": family.shape[0]})
+    images = op.matrix @ family.T
+    out, clip = _psd_symbol(images @ images.conj().T, phi)
+    return RecoveryResult(out, "pt", {"basis_size": family.shape[0],
+                                      "psd_clip": clip})
 
 
 def gp_recover(op: LocOperator, phi, region=None) -> RecoveryResult:
     """Gabor projection: estimate[z] = Re <A pi(z) phi, pi(z) phi>.
 
-    Pointwise and embarrassingly parallel; ``region`` (an iterable of
-    lattice points) restricts evaluation, leaving NaN sentinels elsewhere
-    since zero is a meaningful symbol value.
+    ``region`` (an iterable of lattice points) restricts the output,
+    leaving NaN sentinels elsewhere since zero is a meaningful symbol
+    value.
     """
-    phi = as_signal(phi)
-    _check_unit(phi)
-    length = op.size
-    if phi.size != length:
-        raise ValidationError("operator and window sizes differ")
+    phi = _unit_window(phi)
+    symbol = lower_symbol(op.matrix, phi)
     if region is not None:
-        est = np.full((length, length), np.nan)
-        points = [(int(n) % length, int(m) % length) for n, m in region]
-        for n, m in points:
-            v = tf_shift(phi, (n, m))
-            est[n, m] = (v.conj() @ (op.matrix @ v)).real
-        meta = {"region_points": len(points)}
-        return RecoveryResult(est, "gp", meta)
-    est = np.empty((length, length))
-    max_imag = 0.0
-    t = np.arange(length)
-    for n in range(length):
-        shifted = np.roll(phi, n)
-        # columns of q are A pi(n, m) phi for m = 0..L-1
-        q = length * np.fft.ifft(op.matrix * shifted[None, :], axis=1)
-        z = shifted.conj()[:, None] * q
-        row = np.fft.fft(z, axis=0)[t, t]
-        max_imag = max(max_imag, float(np.max(np.abs(row.imag))))
-        est[n] = row.real
-    return RecoveryResult(est, "gp", {"region_points": None,
-                                      "max_imag_residue": max_imag})
+        points = np.asarray(list(region), dtype=np.intp).reshape(-1, 2) % op.size
+        rows, cols = points.T
+        est = np.full((op.size, op.size), np.nan)
+        est[rows, cols] = symbol.real[rows, cols]
+        return RecoveryResult(est, "gp", {"region_points": len(points)})
+    max_imag = float(np.max(np.abs(symbol.imag)))
+    return RecoveryResult(symbol.real, "gp", {"region_points": None,
+                                              "max_imag_residue": max_imag})
 
 
 def impulse_kernel(windows: WindowSystem, phi, mode: str = "analytic",
-                   estimator: str = "gp", builder=build_locop) -> np.ndarray:
+                   estimator: str = "gp") -> np.ndarray:
     """Unit-mass blurring kernel separating gp/was estimates from the symbol.
 
     analytic: (1/L) sum_k s_k |dgt(g_k, phi)|^2, peaked at the origin.
@@ -233,8 +229,7 @@ def impulse_kernel(windows: WindowSystem, phi, mode: str = "analytic",
     run the requested estimator pipeline on it; for gp and was this
     reproduces the analytic kernel to machine precision.
     """
-    phi = as_signal(phi)
-    _check_unit(phi)
+    phi = _unit_window(phi)
     length = windows.length
     if mode == "analytic":
         out = np.zeros((length, length))
@@ -245,7 +240,7 @@ def impulse_kernel(windows: WindowSystem, phi, mode: str = "analytic",
         raise ValidationError(f"unknown impulse mode {mode!r}")
     delta = np.zeros((length, length))
     delta[0, 0] = 1.0
-    op = builder(delta, windows)
+    op = build_locop(delta, windows)
     if estimator == "gp":
         return gp_recover(op, phi).estimate
     if estimator == "was":

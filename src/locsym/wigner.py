@@ -1,4 +1,4 @@
-"""Discrete Wigner distribution and finite-rank Cohen's class distributions.
+"""Discrete Wigner distribution, Weyl-type symbols and finite-rank Cohen's class.
 
 The Wigner kernel used here is
 
@@ -22,6 +22,15 @@ from .gabor import spectrogram
 _IMAG_GUARD = 1e-8
 
 
+def weyl_symbol(matrix: np.ndarray) -> np.ndarray:
+    """The Wigner kernel with psi[n+k] conj(psi[n-k]) replaced by M[n+k, n-k]."""
+    length = matrix.shape[0]
+    n = np.arange(length)[:, None]
+    k = np.arange(length)[None, :]
+    full = np.fft.fft(matrix[(n + k) % length, (n - k) % length], axis=1)
+    return full[:, (2 * np.arange(length)) % length]
+
+
 def wigner(psi) -> np.ndarray:
     """Real Wigner distribution of ``psi`` over the L x L phase grid.
 
@@ -30,12 +39,7 @@ def wigner(psi) -> np.ndarray:
     discarded.  Time marginal: sum_m W[n, m] = L |psi[n]|^2 for odd L.
     """
     psi = as_signal(psi)
-    length = psi.size
-    n = np.arange(length)[:, None]
-    k = np.arange(length)[None, :]
-    autoc = psi[(n + k) % length] * psi[(n - k) % length].conj()
-    full = np.fft.fft(autoc, axis=1)
-    w = full[:, (2 * np.arange(length)) % length]
+    w = weyl_symbol(np.outer(psi, psi.conj()))
     residue = np.max(np.abs(w.imag))
     if residue > _IMAG_GUARD * max(1.0, float(np.max(np.abs(w.real)))):
         raise NumericalError(f"Wigner imaginary residue {residue:.3e} too large")

@@ -170,3 +170,30 @@ def test_compress_positive_frequency_flag(tmp_path, circle):
                "--compress-positive-frequency", "--out", tmp_path / "w") == 0
     sidecar = json.loads((tmp_path / "w.json").read_text())
     assert sidecar["compress_positive_frequency"] is True
+
+
+@pytest.mark.parametrize("method", ["gp", "pt", "wn"])
+def test_non_finite_operator_dump_exits_2(tmp_path, circle, method):
+    from locsym import LocOperator, save_locop
+
+    matrix = np.eye(32, dtype=complex)
+    matrix[3, 4] = np.nan
+    save_locop(LocOperator(matrix), tmp_path / "nan.bin")
+    assert run("recover", "--method", method, "--symbol", circle,
+               "--size", 32, "--operator", tmp_path / "nan.bin",
+               "--K", 4, "--out", tmp_path / "x") == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_ragged_csv_symbol_exits_2(tmp_path):
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("0,1,0,1\n1,0,1\n0,1,0,1\n1,0,1,0\n")
+    assert run("recover", "--method", "gp", "--symbol", ragged, "--size", 4,
+               "--out", tmp_path / "x") == 2
+
+
+def test_non_numeric_csv_cell_exits_2(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("0,1,0,1\n1,0,x,0\n0,1,0,1\n1,0,1,0\n")
+    assert run("recover", "--method", "gp", "--symbol", bad, "--size", 4,
+               "--out", tmp_path / "x") == 2

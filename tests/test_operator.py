@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from locsym import (NotSelfAdjointError, ValidationError, WindowSystem, apply,
-                    build_locop, dgt, dgt_adjoint, eigendecompose,
-                    hermite_system, load_locop, make_gaussian_window,
-                    save_locop, tf_shift)
+from locsym import (LocOperator, NotSelfAdjointError, ValidationError,
+                    WindowSystem, apply, build_locop, dgt, dgt_adjoint,
+                    eigendecompose, hermite_system, load_locop,
+                    make_gaussian_window, save_locop, tf_shift)
 
 
 @pytest.fixture
@@ -189,5 +189,24 @@ class TestDump:
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not an operator dump")
+        with pytest.raises(ValidationError):
+            load_locop(path)
+
+    def test_rejects_size_disagreeing_with_header(self, gauss64, tmp_path):
+        _, ws = gauss64
+        path = tmp_path / "op.bin"
+        save_locop(build_locop(np.ones((64, 64)), ws), path)
+        blob = path.read_bytes()
+        for damaged in (blob[:-16], blob + b"\x00" * 16):
+            path.write_bytes(damaged)
+            with pytest.raises(ValidationError):
+                load_locop(path)
+
+    def test_rejects_non_finite_entries(self, gauss64, tmp_path):
+        _, ws = gauss64
+        matrix = build_locop(np.ones((64, 64)), ws).matrix.copy()
+        matrix[5, 7] = complex(np.inf, 0.0)
+        path = tmp_path / "op.bin"
+        save_locop(LocOperator(matrix), path)
         with pytest.raises(ValidationError):
             load_locop(path)

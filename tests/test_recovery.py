@@ -302,6 +302,29 @@ class TestImpulseKernel:
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-14)
 
 
+class TestPsdClip:
+    # wn, pt and wn_limit are lower symbols of PSD matrices, clipped at zero;
+    # gp, was and wawd are signed and pass their negatives through
+    @pytest.mark.parametrize("kind", ["circle", "star", "tiles"])
+    def test_clip_is_roundoff(self, kind):
+        L = 64
+        g, ws, f, op = gauss_setup(L, symbol=gen_symbol(SymbolSpec(kind, L)))
+        for res in (pt_recover(op, standard_basis(L), g),
+                    wn_recover(op, g, 16, 1.0, 0)):
+            assert res.estimate.min() >= 0.0
+            assert res.meta["psd_clip"] <= 1e-12 * res.estimate.max()
+        assert wn_limit(eigendecompose(op), g).min() >= 0.0
+
+    def test_signed_symbols_are_not_clipped(self):
+        L = 33
+        g, ws, f, op = gauss_setup(L, seed=23)
+        spec = eigendecompose(op)
+        for est in (gp_recover(op, g).estimate,
+                    was_recover(spec, ws, L).estimate,
+                    wawd_recover(spec, L).estimate):
+            assert est.min() < -0.1
+
+
 class TestDeconvolve:
     def test_delta_kernel_is_identity(self):
         rng = np.random.default_rng(20)

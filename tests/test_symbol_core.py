@@ -1,0 +1,80 @@
+"""The quadratic-symbol kernels against their literal definitions.
+
+Every estimator is a lower or Weyl-type symbol of one matrix, and
+``build_locop`` is the adjoint map; these properties check the three
+FFT kernels entry by entry against the sums that define them, at random
+odd and even L, random non-Hermitian matrices and random window systems.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from locsym import WindowSystem, build_locop, tf_shift
+from locsym.gabor import lower_symbol
+from locsym.wigner import weyl_symbol
+
+lengths = st.integers(5, 20)
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+def random_matrix(rng, length):
+    return (rng.standard_normal((length, length))
+            + 1j * rng.standard_normal((length, length)))
+
+
+def random_window(rng, length):
+    g = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    return g / np.linalg.norm(g)
+
+
+def random_system(rng, length, count):
+    weights = rng.uniform(0.1, 1.0, count)
+    return WindowSystem(weights / weights.sum(),
+                        np.stack([random_window(rng, length) for _ in range(count)]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(lengths, seeds)
+def test_lower_symbol_is_the_pointwise_quadratic_form(length, seed):
+    rng = np.random.default_rng(seed)
+    m = random_matrix(rng, length)
+    phi = random_window(rng, length)
+    got = lower_symbol(m, phi)
+    literal = np.empty((length, length), dtype=complex)
+    for n in range(length):
+        for k in range(length):
+            v = tf_shift(phi, (n, k))
+            literal[n, k] = v.conj() @ m @ v
+    np.testing.assert_allclose(got, literal, rtol=0, atol=1e-12 * length)
+
+
+@settings(max_examples=30, deadline=None)
+@given(lengths, seeds)
+def test_weyl_symbol_is_the_folded_diagonal_sum(length, seed):
+    m = random_matrix(np.random.default_rng(seed), length)
+    got = weyl_symbol(m)
+    k = np.arange(length)
+    literal = np.empty((length, length), dtype=complex)
+    for n in range(length):
+        for freq in range(length):
+            literal[n, freq] = np.sum(m[(n + k) % length, (n - k) % length]
+                                      * np.exp(-4j * np.pi * freq * k / length))
+    np.testing.assert_allclose(got, literal, rtol=0, atol=1e-12 * length)
+
+
+@settings(max_examples=30, deadline=None)
+@given(lengths, st.integers(1, 3), seeds)
+def test_build_locop_is_the_weighted_sum_of_projectors(length, count, seed):
+    rng = np.random.default_rng(seed)
+    system = random_system(rng, length, count)
+    f = rng.standard_normal((length, length))
+    literal = np.zeros((length, length), dtype=complex)
+    for n in range(length):
+        for k in range(length):
+            for w, g in system:
+                v = tf_shift(g, (n, k))
+                literal += f[n, k] * w * np.outer(v, v.conj())
+    literal /= length
+    got = build_locop(f, system).matrix
+    np.testing.assert_allclose(got, literal, rtol=0, atol=1e-12 * length)
