@@ -33,6 +33,8 @@ def _limit_threads(threads: int):
     try:
         import threadpoolctl
     except ImportError:
+        print(f"warning: --threads {threads} ignored: threadpoolctl is not "
+              "installed", file=sys.stderr)
         return
     threadpoolctl.threadpool_limits(threads)
 

@@ -56,28 +56,17 @@ def tf_shift(psi: np.ndarray, z) -> np.ndarray:
     return phase * np.roll(psi, n)
 
 
-def _orthonormalize(rows: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt with reorthogonalization, row by row."""
-    q = np.array(rows, dtype=np.complex128)
-    for i in range(q.shape[0]):
-        for _ in range(2):  # second pass repairs loss near linear dependence
-            for j in range(i):
-                q[i] -= (q[j].conj() @ q[i]) * q[j]
-        nrm = np.linalg.norm(q[i])
-        if nrm < 1e-300:
-            raise ValidationError("family is numerically linearly dependent")
-        q[i] /= nrm
-    return q
-
-
 def hermite_system(length: int, count: int, center=(0, 0)) -> np.ndarray:
     """First ``count`` Hermite functions sampled on the grid, as rows.
 
-    Continuous Hermite functions h_k are sampled at x = (j - L/2) / sqrt(L),
-    re-orthonormalized by Gram-Schmidt in order k = 0..count-1 (the samples
-    are only approximately orthogonal), then each is time-frequency shifted
-    by ``center``.  The k = 0 member is the sampled Gaussian, so the
-    unshifted family sits at the phase-plane origin.
+    Continuous Hermite functions h_k are sampled at x = (j - L/2) / sqrt(L)
+    and re-orthonormalized in order k = 0..count-1 (the samples are only
+    approximately orthogonal) by QR with a positive diagonal, then each is
+    time-frequency shifted by ``center``.  For well-conditioned counts that
+    is the Gram-Schmidt basis to roundoff; as count nears L the sampled
+    family becomes nearly dependent and the trailing rows are one of many
+    equally orthonormal completions.  The k = 0 member is the sampled
+    Gaussian, so the unshifted family sits at the phase-plane origin.
     """
     if length < 4:
         raise ValidationError(f"length must be >= 4, got {length}")
@@ -93,7 +82,11 @@ def hermite_system(length: int, count: int, center=(0, 0)) -> np.ndarray:
         h[1] = math.sqrt(2) * u * h[0]
     for k in range(2, count):
         h[k] = math.sqrt(2 / k) * u * h[k - 1] - math.sqrt((k - 1) / k) * h[k - 2]
-    q = _orthonormalize(h)
+    q, r = np.linalg.qr(h.T)
+    pivots = np.diag(r)
+    if np.min(np.abs(pivots)) < 1e-300:
+        raise ValidationError("family is numerically linearly dependent")
+    q = (q * np.sign(pivots)).T.astype(np.complex128, order="C")
     if center == (0, 0):
         return q
     return np.stack([tf_shift(row, center) for row in q])

@@ -9,6 +9,8 @@ low end of the range in PGM.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .errors import PgmError, ValidationError
@@ -95,23 +97,18 @@ def save_csv(grid, path):
     f = np.asarray(grid, dtype=np.float64)
     if f.ndim != 2:
         raise ValidationError("map must be 2-d")
-    with open(path, "w") as fh:
-        for row in f:
-            fh.write(",".join(f"{v:.17g}" for v in row))
-            fh.write("\n")
+    np.savetxt(path, f, fmt="%.17g", delimiter=",")
 
 
 def load_csv(path) -> np.ndarray:
     """Read a square map written by :func:`save_csv`."""
-    with open(path) as fh:
-        rows = [line.split(",") for line in fh if line.strip()]
-    if len({len(row) for row in rows}) > 1:
-        raise ValidationError(f"{path}: rows differ in length")
-    try:
-        f = np.array([[float(tok) for tok in row] for row in rows])
-    except ValueError as exc:
-        raise ValidationError(f"{path}: non-numeric cell") from exc
-    if f.ndim != 2 or f.shape[0] != f.shape[1]:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)  # an empty file only warns
+        try:
+            f = np.loadtxt(path, delimiter=",", comments=None, ndmin=2)
+        except (ValueError, UserWarning) as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
+    if f.shape[0] != f.shape[1]:
         raise ValidationError(f"{path}: expected a square map, got {f.shape}")
     return f
 

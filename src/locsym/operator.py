@@ -22,7 +22,6 @@ from .errors import NotSelfAdjointError, ValidationError
 from .gabor import _from_diagonals, _lag_product
 
 HERMITIAN_REJECT_TOL = 1e-6
-DEGENERACY_GAP = 1e-8
 
 _DUMP_MAGIC = b"LOCOP1"
 
@@ -93,20 +92,13 @@ def apply(op: LocOperator, psi) -> np.ndarray:
     return op.matrix @ psi
 
 
-def _vector_key(v: np.ndarray):
-    r = np.round(np.concatenate([v.real, v.imag]), 9)
-    return tuple(r)
-
-
 def eigendecompose(op: LocOperator) -> Spectrum:
     """Full spectrum of a Hermitian localization operator.
 
-    Ordering is deterministic: descending |lambda|, ties broken by
-    descending signed lambda, then by the rounded eigenvector.  Numerically
-    degenerate clusters (gap < 1e-8) are re-orthonormalized by
-    Gram-Schmidt, since near-degenerate eigenvectors are exactly where
-    spectral estimators go wrong.  Eigenvector phases are canonicalized so
-    the largest-magnitude entry is real positive.
+    ``eigh`` of the Hermitian part, ordered by descending |lambda| and then
+    descending signed lambda with one stable sort, so exact ties keep
+    ``eigh``'s order.  Eigenvectors are orthonormal; their phases, and the
+    basis chosen inside a degenerate cluster, are whatever LAPACK returns.
     """
     h = op.matrix
     asym = np.max(np.abs(h - h.conj().T))
@@ -115,36 +107,9 @@ def eigendecompose(op: LocOperator) -> Spectrum:
             f"operator asymmetry {asym:.3e} exceeds {HERMITIAN_REJECT_TOL}; "
             "complex symbol or invalid window system?"
         )
-    sym = (h + h.conj().T) / 2
-    lam, vec = np.linalg.eigh(sym)
-    lam = lam.real
-    order = sorted(
-        range(lam.size),
-        key=lambda i: (-abs(lam[i]), -lam[i], _vector_key(vec[:, i])),
-    )
-    lam = lam[order]
-    vecs = vec[:, order].T.copy()
-
-    # Gram-Schmidt within degenerate clusters.
-    start = 0
-    for i in range(1, lam.size + 1):
-        if i == lam.size or abs(lam[i] - lam[i - 1]) >= DEGENERACY_GAP:
-            if i - start > 1:
-                block = vecs[start:i]
-                for a in range(block.shape[0]):
-                    for b in range(a):
-                        block[a] -= (block[b].conj() @ block[a]) * block[b]
-                    block[a] /= np.linalg.norm(block[a])
-                vecs[start:i] = block
-            start = i
-
-    # Canonical phase: largest entry real positive.
-    for i in range(vecs.shape[0]):
-        k = int(np.argmax(np.abs(vecs[i])))
-        pivot = vecs[i][k]
-        if abs(pivot) > 0:
-            vecs[i] *= pivot.conj() / abs(pivot)
-    return Spectrum(lam, vecs)
+    lam, vec = np.linalg.eigh((h + h.conj().T) / 2)
+    order = np.lexsort((-lam, -np.abs(lam)))
+    return Spectrum(lam[order], vec.T[order])
 
 
 def save_locop(op: LocOperator, path):

@@ -36,6 +36,7 @@ from .operator import LocOperator, Spectrum, build_locop, eigendecompose
 from .wigner import weyl_symbol
 
 _NOISE_BATCH = 128
+DEGENERACY_GAP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -142,11 +143,24 @@ def wn_recover(op: LocOperator, phi, draws: int, noise_var: float,
 
 
 def _truncation(spectrum: Spectrum, terms: int) -> np.ndarray:
-    """A_N: the operator rebuilt from its ``terms`` leading eigenpairs."""
+    """A_N: the operator rebuilt from its ``terms`` leading eigenpairs.
+
+    A cut between two |lambda| closer than DEGENERACY_GAP * |lambda_0| makes
+    A_N depend on roundoff, so it raises unless the rest is negligible.
+    """
     if not 1 <= terms <= spectrum.size:
         raise ValidationError(
             f"terms must be in 1..{spectrum.size}, got {terms}"
         )
+    mag = np.abs(spectrum.eigenvalues)
+    if terms < mag.size:
+        gap = mag[terms - 1] - mag[terms]
+        scale = DEGENERACY_GAP * mag[0]
+        if mag[terms] > scale and gap < scale:
+            raise NumericalError(
+                f"truncation at {terms} terms splits an eigenvalue cluster "
+                f"(|lambda| gap {gap:.3e} < {scale:.3e})"
+            )
     return _eigen_sum(spectrum.eigenvalues[:terms], spectrum.eigenvectors[:terms])
 
 

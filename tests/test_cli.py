@@ -1,6 +1,8 @@
 """Command-line interface: workflows, exit codes, reproducibility."""
 
 import json
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -197,3 +199,39 @@ def test_non_numeric_csv_cell_exits_2(tmp_path):
     bad.write_text("0,1,0,1\n1,0,x,0\n0,1,0,1\n1,0,1,0\n")
     assert run("recover", "--method", "gp", "--symbol", bad, "--size", 4,
                "--out", tmp_path / "x") == 2
+
+
+def test_empty_csv_symbol_exits_2(tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("recover", "--method", "gp", "--symbol", empty,
+                   "--size", 4, "--out", tmp_path / "x") == 2
+
+
+def test_comment_like_csv_cell_exits_2(tmp_path):
+    bad = tmp_path / "hash.csv"
+    bad.write_text("0,1,0,1\n1,0,#2,0\n0,1,0,1\n1,0,1,0\n")
+    assert run("recover", "--method", "gp", "--symbol", bad, "--size", 4,
+               "--out", tmp_path / "x") == 2
+
+
+def test_was_cut_through_eigenvalue_cluster_exits_3(tmp_path):
+    star = tmp_path / "star.csv"
+    assert run("gen-symbol", "--kind", "star", "--size", 64,
+               "--range-lo", -1, "--range-hi", 1,
+               "--out", tmp_path / "star.pgm", "--csv", star) == 0
+    assert run("recover", "--method", "was", "--symbol", star, "--size", 64,
+               "--range-lo", -1, "--range-hi", 1, "--window", "gauss,hermite:1",
+               "--eigs", 8, "--out", tmp_path / "x") == 3
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_threads_without_threadpoolctl_warns(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+    assert run("--threads", 2, "gen-symbol", "--kind", "circle", "--size", 16,
+               "--out", tmp_path / "c.pgm") == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "--threads 2 ignored" in err[0]

@@ -99,9 +99,10 @@ class TestHermiteSystem:
 
     def test_gram_identity_full_count(self):
         # extending toward a complete family keeps orthonormality
-        q = hermite_system(64, 64)
-        gram = q @ q.conj().T
-        assert np.max(np.abs(gram - np.eye(64))) < 1e-8
+        for length in (64, 256):
+            q = hermite_system(length, length)
+            gram = q @ q.conj().T
+            assert np.max(np.abs(gram - np.eye(length))) < 1e-8
 
     def test_ground_state_matches_gaussian(self):
         h = hermite_system(128, 1)[0]

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from locsym import (DegenerateKernelError, Spectrum, SymbolSpec,
-                    ValidationError, WindowSystem, build_locop, circ_conv2,
-                    deconvolve, dft_basis, eigendecompose, gen_symbol,
+from locsym import (DegenerateKernelError, NumericalError, Spectrum,
+                    SymbolSpec, ValidationError, WindowSystem, build_locop,
+                    circ_conv2, deconvolve, dft_basis, eigendecompose, gen_symbol,
                     gp_recover, hermite_system, impulse_kernel,
                     make_gaussian_window, pt_recover, standard_basis,
                     tf_shift, torus_distance_grid, was_recover, wawd_recover,
@@ -124,6 +124,19 @@ class TestAccumulatedSpectrogram:
             lhs = np.sum(np.abs(partial - full)) / L
             tail = np.sum(np.abs(spec.eigenvalues[terms:]))
             assert lhs <= tail + 1e-10
+
+    @pytest.mark.parametrize("L", [64, 255])
+    def test_cut_through_eigenvalue_cluster_raises(self, L):
+        # star on [-1, 1] with gauss + hermite:1 has a run of eigenvalues
+        # near -1 under 1e-8 apart, and N = L/8 cuts through it
+        g = make_gaussian_window(L)
+        ws = WindowSystem.from_pairs([(0.5, g), (0.5, hermite_system(L, 2)[1])])
+        spec = eigendecompose(build_locop(
+            gen_symbol(SymbolSpec("star", L, {}, (-1.0, 1.0))), ws))
+        with pytest.raises(NumericalError, match="cluster"):
+            was_recover(spec, WindowSystem.single(g), L // 8)
+        with pytest.raises(NumericalError, match="cluster"):
+            wawd_recover(spec, L // 8)
 
     def test_tail_mass_in_meta(self):
         g, ws, _, op = gauss_setup(32, seed=8)
