@@ -20,7 +20,7 @@ from .metrics import blur_bound, rel_l1_error, variation
 from .operator import (LocOperator, Spectrum, apply, build_locop,
                        eigendecompose, load_locop, save_locop)
 from .recovery import (RecoveryResult, deconvolve, gp_recover, impulse_kernel,
-                       pt_recover, was_recover, wawd_recover, wn_limit,
+                       pt_recover, recover, was_recover, wawd_recover, wn_limit,
                        wn_recover)
 from .symbols import (SymbolSpec, circ_conv2, compress_positive_frequency,
                       gaussian_blur, gen_symbol, torus_distance_grid)
@@ -35,8 +35,8 @@ __all__ = [
     "dft_basis", "dgt", "dgt_adjoint", "eigendecompose", "gaussian_blur",
     "gen_symbol", "gp_recover", "hermite_system", "impulse_kernel",
     "load_csv", "load_locop", "load_map", "load_pgm", "make_gaussian_window",
-    "pt_recover", "rel_l1_error", "report_csv", "report_text", "save_csv",
-    "save_locop", "save_pgm", "spectrogram", "standard_basis", "tf_shift",
-    "torus_distance_grid", "variation", "was_recover", "wawd_recover",
-    "wigner", "wn_limit", "wn_recover",
+    "pt_recover", "recover", "rel_l1_error", "report_csv", "report_text",
+    "save_csv", "save_locop", "save_pgm", "spectrogram", "standard_basis",
+    "tf_shift", "torus_distance_grid", "variation", "was_recover",
+    "wawd_recover", "wigner", "wn_limit", "wn_recover",
 ]

@@ -15,12 +15,11 @@ import time
 
 import numpy as np
 
-from .core import WindowSystem, hermite_system, make_gaussian_window, standard_basis
+from .core import WindowSystem, hermite_system, make_gaussian_window
 from .errors import ValidationError
 from .metrics import rel_l1_error
-from .operator import build_locop, eigendecompose
-from .recovery import (gp_recover, pt_recover, was_recover, wawd_recover,
-                       wn_recover)
+from .operator import build_locop
+from .recovery import recover
 from .symbols import SymbolSpec, gen_symbol
 
 SCHEMA_VERSION = 1
@@ -104,25 +103,16 @@ def bench_all(config: dict) -> dict:
         phi = windows.windows[0]
     else:
         phi = parse_window(recon_spec, size)
-    recon_system = WindowSystem.single(phi)
-    basis = standard_basis(size)
 
     rows = []
     for name, spec in _symbol_specs(config):
         truth = gen_symbol(spec)
         signed = spec.value_range[0] < 0.0
         op = build_locop(truth, windows)
-        spectrum = eigendecompose(op)
-        runners = {
-            "wn": lambda: wn_recover(op, phi, draws, sigma2, seed).estimate,
-            "was": lambda: was_recover(spectrum, recon_system, terms).estimate,
-            "wawd": lambda: wawd_recover(spectrum, terms).estimate,
-            "pt": lambda: pt_recover(op, basis, phi).estimate,
-            "gp": lambda: gp_recover(op, phi).estimate,
-        }
         for method in METHODS:
             tic = time.perf_counter()
-            estimate = runners[method]()
+            estimate = recover(method, op, phi, terms=terms, draws=draws,
+                               noise_var=sigma2, seed=seed).estimate
             seconds = time.perf_counter() - tic
             err, flags = _compare(method, estimate, truth, signed, size)
             rows.append({

@@ -18,12 +18,11 @@ import numpy as np
 from . import __version__
 from .bench import (SCHEMA_VERSION, bench_all, parse_window, report_csv,
                     report_text, window_system_from_config)
-from .core import WindowSystem, dft_basis, hermite_system, standard_basis
+from .core import dft_basis, hermite_system, standard_basis
 from .errors import NumericalError, ValidationError
 from .mapio import load_map, save_csv, save_pgm
-from .operator import build_locop, eigendecompose, load_locop, save_locop
-from .recovery import (deconvolve, gp_recover, impulse_kernel, pt_recover,
-                       was_recover, wawd_recover, wn_recover)
+from .operator import build_locop, load_locop, save_locop
+from .recovery import deconvolve, impulse_kernel, recover
 from .symbols import SymbolSpec, compress_positive_frequency, gen_symbol
 
 
@@ -66,6 +65,11 @@ def _parse_region(spec: str, size: int):
     if not points:
         raise ValidationError(f"region {spec!r} is empty")
     return points
+
+
+# result.meta values copied into the recover sidecar, under their sidecar names
+_SIDECAR_META = (("noise_var_hat", "sigma2_hat"),
+                 ("eig_tail_mass", "eig_tail_mass"))
 
 
 def _write_outputs(grid, out: str, sidecar: dict, value_range):
@@ -113,7 +117,6 @@ def _cmd_recover(args) -> int:
     if args.dump_operator:
         save_locop(op, args.dump_operator)
 
-    spectrum = None
     terms = args.eigs or args.size
     meta = {
         "schema_version": SCHEMA_VERSION,
@@ -127,27 +130,23 @@ def _cmd_recover(args) -> int:
         "value_range": list(value_range),
         "compress_positive_frequency": args.compress_positive_frequency,
     }
-    if args.method == "wn":
-        result = wn_recover(op, phi, args.noise_draws, args.sigma2, args.seed)
-        meta.update(draws=args.noise_draws, sigma2=args.sigma2, seed=args.seed,
-                    sigma2_hat=result.meta["noise_var_hat"])
-    elif args.method in ("was", "wawd"):
-        spectrum = eigendecompose(op)
-        if args.method == "was":
-            result = was_recover(spectrum, WindowSystem.single(phi), terms)
-        else:
-            result = wawd_recover(spectrum, terms)
-        meta.update(eig_terms=terms, eig_tail_mass=result.meta["eig_tail_mass"])
-    elif args.method == "pt":
-        basis = _parse_basis(args.basis, args.size)
-        result = pt_recover(op, basis, phi)
-        meta.update(basis=args.basis)
-    elif args.method == "gp":
-        region = _parse_region(args.region, args.size) if args.region else None
-        result = gp_recover(op, phi, region)
-        meta.update(region=args.region)
-    else:  # argparse choices should prevent this
-        raise ValidationError(f"unknown method {args.method!r}")
+    meta.update({
+        "wn": {"draws": args.noise_draws, "sigma2": args.sigma2,
+               "seed": args.seed},
+        "was": {"eig_terms": terms},
+        "wawd": {"eig_terms": terms},
+        "pt": {"basis": args.basis},
+        "gp": {"region": args.region},
+    }[args.method])
+    result = recover(
+        args.method, op, phi, terms=terms, draws=args.noise_draws,
+        noise_var=args.sigma2, seed=args.seed,
+        basis=_parse_basis(args.basis, args.size) if args.method == "pt" else None,
+        region=(_parse_region(args.region, args.size)
+                if args.method == "gp" and args.region else None),
+    )
+    meta.update({name: result.meta[key] for key, name in _SIDECAR_META
+                 if key in result.meta})
     meta["seconds"] = time.perf_counter() - tic
 
     out_range = value_range

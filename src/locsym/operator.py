@@ -4,7 +4,7 @@ A symbol f on the phase plane and a window system S define the dense L x L
 matrix A = (1/L) sum_z f[z] sum_k s_k (pi(z) g_k)(pi(z) g_k)*.  The 1/L
 normalization makes f = 1 give the identity.  Each diagonal of A is a
 circular convolution, so assembly costs O(L^2 log L) per window.  Dense
-storage is deliberate: the estimators need the full spectrum.
+storage is deliberate: truncated spectral estimates need the full spectrum.
 """
 
 from __future__ import annotations
@@ -92,13 +92,11 @@ def apply(op: LocOperator, psi) -> np.ndarray:
     return op.matrix @ psi
 
 
-def eigendecompose(op: LocOperator) -> Spectrum:
-    """Full spectrum of a Hermitian localization operator.
+def hermitian_part(op: LocOperator) -> np.ndarray:
+    """(h + h*) / 2 of an operator that is Hermitian up to roundoff.
 
-    ``eigh`` of the Hermitian part, ordered by descending |lambda| and then
-    descending signed lambda with one stable sort, so exact ties keep
-    ``eigh``'s order.  Eigenvectors are orthonormal; their phases, and the
-    basis chosen inside a degenerate cluster, are whatever LAPACK returns.
+    Raises NotSelfAdjointError when the asymmetry max |h - h*| exceeds
+    HERMITIAN_REJECT_TOL.
     """
     h = op.matrix
     asym = np.max(np.abs(h - h.conj().T))
@@ -107,7 +105,18 @@ def eigendecompose(op: LocOperator) -> Spectrum:
             f"operator asymmetry {asym:.3e} exceeds {HERMITIAN_REJECT_TOL}; "
             "complex symbol or invalid window system?"
         )
-    lam, vec = np.linalg.eigh((h + h.conj().T) / 2)
+    return (h + h.conj().T) / 2
+
+
+def eigendecompose(op: LocOperator) -> Spectrum:
+    """Full spectrum of a Hermitian localization operator.
+
+    ``eigh`` of the Hermitian part, ordered by descending |lambda| and then
+    descending signed lambda with one stable sort, so exact ties keep
+    ``eigh``'s order.  Eigenvectors are orthonormal; their phases, and the
+    basis chosen inside a degenerate cluster, are whatever LAPACK returns.
+    """
+    lam, vec = np.linalg.eigh(hermitian_part(op))
     order = np.lexsort((-lam, -np.abs(lam)))
     return Spectrum(lam[order], vec.T[order])
 

@@ -2,6 +2,9 @@
 
 Each estimator is the lower symbol <M pi(z) phi, pi(z) phi> or the
 Weyl-type symbol of one matrix M; A_N keeps A's N leading eigenpairs.
+``recover(method, op, phi, ...)`` is the one method dispatch.  It
+eigendecomposes only to truncate: with all L terms A_N is the Hermitian
+part of A, so was(L) is the lower symbol of A and wawd(L) its Weyl symbol.
 
 Methods
 -------
@@ -29,10 +32,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import WindowSystem, as_signal
+from .core import WindowSystem, as_signal, standard_basis
 from .errors import DegenerateKernelError, NumericalError, ValidationError
 from .gabor import lower_symbol, spectrogram
-from .operator import LocOperator, Spectrum, build_locop, eigendecompose
+from .operator import (LocOperator, Spectrum, build_locop, eigendecompose,
+                       hermitian_part)
 from .wigner import weyl_symbol
 
 _NOISE_BATCH = 128
@@ -80,27 +84,14 @@ def wn_limit(spectrum: Spectrum, phi) -> np.ndarray:
     return _psd_symbol(_eigen_sum(lam * lam, spectrum.eigenvectors), phi)[0]
 
 
-def _noise_realization(seed: int, k: int, length: int, scale: float,
-                       real_noise: bool) -> np.ndarray:
-    # Philox is counter-based: keying by (seed, k) gives independent
-    # substreams per realization, so results never depend on batching.
-    rng = np.random.Generator(np.random.Philox(key=np.array(
-        [np.uint64(seed), np.uint64(k)], dtype=np.uint64)))
-    if real_noise:
-        return (scale * math.sqrt(2.0)) * rng.standard_normal(length) + 0j
-    re = rng.standard_normal(length)
-    im = rng.standard_normal(length)
-    return scale * (re + 1j * im)
-
-
 def wn_recover(op: LocOperator, phi, draws: int, noise_var: float,
                seed: int, real_noise: bool = False) -> RecoveryResult:
     """Monte-Carlo white-noise probing of the operator.
 
     Draws ``draws`` complex circular Gaussian signals with per-entry
-    variance ``noise_var`` (substream per realization keyed by
-    (seed, k)), filters each through the operator and averages the
-    spectrograms.  The estimate is that average divided by the observed
+    variance ``noise_var`` (substream per realization keyed by (seed, k),
+    with ``seed`` in 0..2**64-1), filters each through the operator and
+    averages the spectrograms.  The estimate is that average divided by the observed
     noise level, the mean of |dgt(noise, phi)|^2 over realizations and
     lattice points; it targets the squared symbol, so signs are lost.
 
@@ -115,16 +106,34 @@ def wn_recover(op: LocOperator, phi, draws: int, noise_var: float,
         raise ValidationError(f"noise variance must be positive, got {noise_var}")
     if op.size != phi.size:
         raise ValidationError("operator and window sizes differ")
+    if not 0 <= seed < 2 ** 64:
+        raise ValidationError(f"seed must be in 0..2**64-1, got {seed}")
     length = op.size
     scale = math.sqrt(noise_var / 2.0)
+    # Philox is counter-based: keying by (seed, k) gives independent
+    # substreams per realization, so results never depend on batching.
+    # One generator is rekeyed per draw by resetting it to a fresh state
+    # (counter 0, empty buffer) with key (seed, k); constructing a Philox
+    # per draw costs more than the draw.
+    bits = np.random.Philox(0)
+    rng = np.random.Generator(bits)
+    state = bits.state
+    key = state["state"]["key"]
+    gauss = np.empty((min(draws, _NOISE_BATCH),
+                      length if real_noise else 2 * length))
     covariance = np.zeros((length, length), dtype=np.complex128)
     energy = 0.0
     for lo in range(0, draws, _NOISE_BATCH):
         hi = min(lo + _NOISE_BATCH, draws)
-        noise = np.stack([
-            _noise_realization(seed, k, length, scale, real_noise)
-            for k in range(lo, hi)
-        ])
+        for k, row in zip(range(lo, hi), gauss):
+            key[:] = seed, k
+            bits.state = state
+            rng.standard_normal(out=row)
+        draw = gauss[:hi - lo]
+        if real_noise:
+            noise = (scale * math.sqrt(2.0)) * draw + 0j
+        else:
+            noise = scale * (draw[:, :length] + 1j * draw[:, length:])
         filtered = noise @ op.matrix.T
         covariance += filtered.T @ filtered.conj()
         energy += float(np.sum(noise.real ** 2 + noise.imag ** 2))
@@ -142,8 +151,9 @@ def wn_recover(op: LocOperator, phi, draws: int, noise_var: float,
     return RecoveryResult(avg / noise_var_hat, "wn", meta)
 
 
-def _truncation(spectrum: Spectrum, terms: int) -> np.ndarray:
-    """A_N: the operator rebuilt from its ``terms`` leading eigenpairs.
+def _truncation(spectrum: Spectrum, terms: int):
+    """A_N, the operator rebuilt from its ``terms`` leading eigenpairs, and
+    the eigenvalue tail mass sum_{m >= N} |lambda_m| it leaves out.
 
     A cut between two |lambda| closer than DEGENERACY_GAP * |lambda_0| makes
     A_N depend on roundoff, so it raises unless the rest is negligible.
@@ -161,7 +171,24 @@ def _truncation(spectrum: Spectrum, terms: int) -> np.ndarray:
                 f"truncation at {terms} terms splits an eigenvalue cluster "
                 f"(|lambda| gap {gap:.3e} < {scale:.3e})"
             )
-    return _eigen_sum(spectrum.eigenvalues[:terms], spectrum.eigenvectors[:terms])
+    truncated = _eigen_sum(spectrum.eigenvalues[:terms],
+                           spectrum.eigenvectors[:terms])
+    return truncated, float(np.sum(mag[terms:]))
+
+
+def _was(system: WindowSystem, terms: int, truncated: np.ndarray,
+         tail: float) -> RecoveryResult:
+    out = sum(w * lower_symbol(truncated, tau).real for w, tau in system)
+    return RecoveryResult(out, "was", {"terms": terms, "eig_tail_mass": tail})
+
+
+def _wawd(terms: int, truncated: np.ndarray, tail: float) -> RecoveryResult:
+    meta = {
+        "terms": terms,
+        "eig_tail_mass": tail,
+        "even_length_artifacts": truncated.shape[0] % 2 == 0,
+    }
+    return RecoveryResult(weyl_symbol(truncated).real, "wawd", meta)
 
 
 def was_recover(spectrum: Spectrum, system: WindowSystem,
@@ -172,10 +199,7 @@ def was_recover(spectrum: Spectrum, system: WindowSystem,
     eigenpairs.  With all terms and a rank-one system this is the Gabor
     projection estimator, computed through spectral data instead.
     """
-    truncated = _truncation(spectrum, terms)
-    out = sum(w * lower_symbol(truncated, tau).real for w, tau in system)
-    tail = float(np.sum(np.abs(spectrum.eigenvalues[terms:])))
-    return RecoveryResult(out, "was", {"terms": terms, "eig_tail_mass": tail})
+    return _was(system, terms, *_truncation(spectrum, terms))
 
 
 def wawd_recover(spectrum: Spectrum, terms: int) -> RecoveryResult:
@@ -185,14 +209,7 @@ def wawd_recover(spectrum: Spectrum, terms: int) -> RecoveryResult:
     convolution (1/L)(f conv W(g)); for even L the Wigner frequency
     aliasing leaks into the estimate, which the meta flag records.
     """
-    out = weyl_symbol(_truncation(spectrum, terms)).real
-    tail = float(np.sum(np.abs(spectrum.eigenvalues[terms:])))
-    meta = {
-        "terms": terms,
-        "eig_tail_mass": tail,
-        "even_length_artifacts": spectrum.size % 2 == 0,
-    }
-    return RecoveryResult(out, "wawd", meta)
+    return _wawd(terms, *_truncation(spectrum, terms))
 
 
 def pt_recover(op: LocOperator, basis, phi) -> RecoveryResult:
@@ -234,6 +251,37 @@ def gp_recover(op: LocOperator, phi, region=None) -> RecoveryResult:
                                               "max_imag_residue": max_imag})
 
 
+def recover(method: str, op: LocOperator, phi, *, terms=None, draws: int = 100,
+            noise_var: float = 1.0, seed: int = 0, basis=None,
+            region=None) -> RecoveryResult:
+    """Run one of the five estimators on ``op``.
+
+    ``terms`` (was, wawd; default L) is the number N of leading eigenpairs
+    kept.  Only N < L eigendecomposes: at N = L, A_N is the Hermitian part
+    of A and the tail mass is 0.  ``phi`` is the reconstruction window
+    (unused by wawd).  ``draws``, ``noise_var`` and ``seed`` configure wn,
+    ``basis`` is pt's orthonormal family (default the standard basis) and
+    ``region`` restricts gp.
+    """
+    if method == "wn":
+        return wn_recover(op, phi, draws, noise_var, seed)
+    if method == "pt":
+        return pt_recover(op, standard_basis(op.size) if basis is None else basis,
+                          phi)
+    if method == "gp":
+        return gp_recover(op, phi, region)
+    if method not in ("was", "wawd"):
+        raise ValidationError(f"unknown method {method!r}")
+    terms = op.size if terms is None else terms
+    if terms == op.size:
+        parts = hermitian_part(op), 0.0
+    else:
+        parts = _truncation(eigendecompose(op), terms)
+    if method == "was":
+        return _was(WindowSystem.single(phi), terms, *parts)
+    return _wawd(terms, *parts)
+
+
 def impulse_kernel(windows: WindowSystem, phi, mode: str = "analytic",
                    estimator: str = "gp") -> np.ndarray:
     """Unit-mass blurring kernel separating gp/was estimates from the symbol.
@@ -258,8 +306,7 @@ def impulse_kernel(windows: WindowSystem, phi, mode: str = "analytic",
     if estimator == "gp":
         return gp_recover(op, phi).estimate
     if estimator == "was":
-        spec = eigendecompose(op)
-        return was_recover(spec, WindowSystem.single(phi), length).estimate
+        return recover("was", op, phi).estimate
     raise ValidationError(f"unsupported impulse estimator {estimator!r}")
 
 

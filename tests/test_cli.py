@@ -228,6 +228,35 @@ def test_was_cut_through_eigenvalue_cluster_exits_3(tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_wn_seed_outside_uint64_exits_2(tmp_path, circle, seed):
+    assert run("recover", "--method", "wn", "--symbol", circle, "--size", 32,
+               "--K", 4, "--seed", seed, "--out", tmp_path / "x") == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_bench_negative_seed_exits_2(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"size": 16, "noise_draws": 4, "seed": -3,
+                               "symbols": [{"kind": "circle"}]}))
+    assert run("bench", "--config", cfg, "--out", tmp_path / "report") == 2
+    assert not (tmp_path / "report" / "report.json").exists()
+
+
+@pytest.mark.parametrize("method", ["was", "wawd"])
+def test_non_hermitian_operator_dump_exits_3(tmp_path, circle, method):
+    from locsym import LocOperator, save_locop
+
+    matrix = np.eye(32, dtype=complex)
+    matrix[3, 4] = 1e-3
+    save_locop(LocOperator(matrix), tmp_path / "skew.bin")
+    assert run("recover", "--method", method, "--symbol", circle,
+               "--size", 32, "--operator", tmp_path / "skew.bin",
+               "--out", tmp_path / "x") == 3
+    assert not (tmp_path / "x.csv").exists()
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_threads_without_threadpoolctl_warns(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
     assert run("--threads", 2, "gen-symbol", "--kind", "circle", "--size", 16,

@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
-from locsym import (DegenerateKernelError, NumericalError, Spectrum,
-                    SymbolSpec, ValidationError, WindowSystem, build_locop,
-                    circ_conv2, deconvolve, dft_basis, eigendecompose, gen_symbol,
-                    gp_recover, hermite_system, impulse_kernel,
-                    make_gaussian_window, pt_recover, standard_basis,
-                    tf_shift, torus_distance_grid, was_recover, wawd_recover,
-                    wigner, wn_limit, wn_recover)
+import locsym.recovery
+from locsym import (DegenerateKernelError, LocOperator, NotSelfAdjointError,
+                    NumericalError, Spectrum, SymbolSpec, ValidationError,
+                    WindowSystem, build_locop, circ_conv2, deconvolve,
+                    dft_basis, eigendecompose, gen_symbol, gp_recover,
+                    hermite_system, impulse_kernel, make_gaussian_window,
+                    pt_recover, recover, standard_basis, tf_shift,
+                    torus_distance_grid, was_recover, wawd_recover, wigner,
+                    wn_limit, wn_recover)
+from locsym.gabor import lower_symbol
 
 
 def gauss_setup(L, seed=None, symbol=None):
@@ -99,6 +102,143 @@ class TestWhiteNoise:
                 for s in range(3)
             ])
         assert mean_dist(1600) < mean_dist(25) / 4.0
+
+
+def per_draw_generator_wn(op, phi, draws, noise_var, seed, real_noise):
+    """wn estimate with one Generator(Philox(key=[seed, k])) per draw.
+
+    The same arithmetic as wn_recover, batch for batch, so the two agree
+    bit for bit when every draw k reads substream (seed, k).
+    """
+    length = op.size
+    scale = np.sqrt(noise_var / 2.0)
+    covariance = np.zeros((length, length), dtype=complex)
+    energy = 0.0
+    for lo in range(0, draws, locsym.recovery._NOISE_BATCH):
+        rows = []
+        for k in range(lo, min(lo + locsym.recovery._NOISE_BATCH, draws)):
+            rng = np.random.Generator(np.random.Philox(
+                key=np.array([seed, k], dtype=np.uint64)))
+            if real_noise:
+                rows.append((scale * np.sqrt(2.0))
+                            * rng.standard_normal(length) + 0j)
+            else:
+                re = rng.standard_normal(length)
+                im = rng.standard_normal(length)
+                rows.append(scale * (re + 1j * im))
+        noise = np.stack(rows)
+        filtered = noise @ op.matrix.T
+        covariance += filtered.T @ filtered.conj()
+        energy += float(np.sum(noise.real ** 2 + noise.imag ** 2))
+    avg = np.maximum(lower_symbol(covariance / draws, phi).real, 0.0)
+    return avg / (energy / (draws * length))
+
+
+class TestNoiseSubstreams:
+    # draws 129 and 300 cross the 128-draw batch boundary
+    @pytest.mark.parametrize("real_noise", [False, True])
+    @pytest.mark.parametrize("draws", [1, 129, 300])
+    def test_matches_per_draw_generators(self, draws, real_noise):
+        g, _, _, op = gauss_setup(24, seed=30)
+        est = wn_recover(op, g, draws, 0.8, 2 ** 63 + 5,
+                         real_noise=real_noise).estimate
+        np.testing.assert_array_equal(
+            est, per_draw_generator_wn(op, g, draws, 0.8, 2 ** 63 + 5,
+                                       real_noise))
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_rejects_seed_outside_uint64(self, seed):
+        g, _, _, op = gauss_setup(16, seed=31)
+        with pytest.raises(ValidationError, match="seed"):
+            wn_recover(op, g, 2, 1.0, seed)
+
+    def test_largest_seed_is_accepted(self):
+        g, _, _, op = gauss_setup(16, seed=31)
+        est = wn_recover(op, g, 2, 1.0, 2 ** 64 - 1).estimate
+        np.testing.assert_array_equal(
+            est, per_draw_generator_wn(op, g, 2, 1.0, 2 ** 64 - 1, False))
+
+
+def star_two_windows(L):
+    g = make_gaussian_window(L)
+    ws = WindowSystem.from_pairs([(0.5, g), (0.5, hermite_system(L, 2)[1])])
+    op = build_locop(gen_symbol(SymbolSpec("star", L, {}, (-1.0, 1.0))), ws)
+    return g, op
+
+
+def refuse_eigendecompose(op):
+    raise AssertionError("eigendecompose called at N = L")
+
+
+class TestRecoverDispatch:
+    @pytest.mark.parametrize("L,kind", [(64, "circle"), (65, "star"),
+                                        (64, "tiles")])
+    def test_full_terms_match_spectrum_path_without_eigh(
+            self, L, kind, monkeypatch):
+        g, ws, _, op = gauss_setup(L, symbol=gen_symbol(
+            SymbolSpec(kind, L, {}, (-1.0, 1.0))))
+        spec = eigendecompose(op)
+        expected = {"was": was_recover(spec, ws, L),
+                    "wawd": wawd_recover(spec, L)}
+        monkeypatch.setattr(locsym.recovery, "eigendecompose",
+                            refuse_eigendecompose)
+        for method, want in expected.items():
+            for terms in (None, L):
+                got = recover(method, op, g, terms=terms)
+                assert got.method == method
+                assert got.meta == want.meta
+                assert got.meta["eig_tail_mass"] == 0.0
+                assert np.max(np.abs(got.estimate - want.estimate)) < 1e-13
+
+    def test_truncation_is_the_spectrum_path_bit_for_bit(self):
+        L = 48
+        g, ws, _, op = gauss_setup(L, seed=32)
+        spec = eigendecompose(op)
+        for terms in (1, 12, L - 1):
+            was = recover("was", op, g, terms=terms)
+            wawd = recover("wawd", op, g, terms=terms)
+            np.testing.assert_array_equal(
+                was.estimate, was_recover(spec, ws, terms).estimate)
+            np.testing.assert_array_equal(
+                wawd.estimate, wawd_recover(spec, terms).estimate)
+            assert was.meta == was_recover(spec, ws, terms).meta
+
+    @pytest.mark.parametrize("method", ["was", "wawd"])
+    def test_truncation_through_cluster_raises(self, method):
+        g, op = star_two_windows(64)
+        with pytest.raises(NumericalError, match="cluster"):
+            recover(method, op, g, terms=8)
+
+    @pytest.mark.parametrize("method", ["was", "wawd"])
+    @pytest.mark.parametrize("terms", [None, 8])
+    def test_non_hermitian_operator_raises(self, method, terms):
+        g = make_gaussian_window(32)
+        matrix = np.eye(32, dtype=complex)
+        matrix[3, 4] = 1e-3
+        with pytest.raises(NotSelfAdjointError):
+            recover(method, LocOperator(matrix), g, terms=terms)
+
+    def test_apply_only_methods_are_their_estimators(self):
+        L = 32
+        g, _, _, op = gauss_setup(L, seed=33)
+        hermite = hermite_system(L, 6, (16, 16))
+        region = [(1, 2), (5, 7)]
+        pairs = [
+            (recover("wn", op, g, draws=9, noise_var=0.5, seed=4),
+             wn_recover(op, g, 9, 0.5, 4)),
+            (recover("pt", op, g), pt_recover(op, standard_basis(L), g)),
+            (recover("pt", op, g, basis=hermite), pt_recover(op, hermite, g)),
+            (recover("gp", op, g), gp_recover(op, g)),
+            (recover("gp", op, g, region=region), gp_recover(op, g, region)),
+        ]
+        for got, want in pairs:
+            assert got.method == want.method
+            np.testing.assert_array_equal(got.estimate, want.estimate)
+
+    def test_rejects_unknown_method(self):
+        g, _, _, op = gauss_setup(16, seed=34)
+        with pytest.raises(ValidationError, match="unknown method"):
+            recover("nope", op, g)
 
 
 class TestAccumulatedSpectrogram:
@@ -303,6 +443,15 @@ class TestImpulseKernel:
         analytic = impulse_kernel(ws, g)
         measured = impulse_kernel(ws, g, mode="measured", estimator="was")
         assert np.max(np.abs(measured - analytic)) < 1e-9
+
+    def test_measured_was_skips_eigendecompose(self, monkeypatch):
+        L = 32
+        g = make_gaussian_window(L)
+        ws = WindowSystem.single(g)
+        monkeypatch.setattr(locsym.recovery, "eigendecompose",
+                            refuse_eigendecompose)
+        measured = impulse_kernel(ws, g, mode="measured", estimator="was")
+        assert np.max(np.abs(measured - impulse_kernel(ws, g))) < 1e-9
 
     def test_mixed_state_kernel_is_weighted_sum(self):
         L = 32
