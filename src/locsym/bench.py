@@ -96,7 +96,8 @@ def bench_all(config: dict) -> dict:
     draws = int(config.get("noise_draws", 200))
     sigma2 = float(config.get("sigma2", 1.0))
     seed = int(config.get("seed", 0))
-    terms = config.get("eig_terms") or size
+    terms = config.get("eig_terms")
+    terms = size if terms is None else terms
 
     windows = window_system_from_config(window_spec, size)
     if recon_spec is None:

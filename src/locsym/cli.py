@@ -117,7 +117,7 @@ def _cmd_recover(args) -> int:
     if args.dump_operator:
         save_locop(op, args.dump_operator)
 
-    terms = args.eigs or args.size
+    terms = args.size if args.eigs is None else args.eigs
     meta = {
         "schema_version": SCHEMA_VERSION,
         "version": __version__,

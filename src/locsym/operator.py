@@ -43,19 +43,64 @@ class LocOperator:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues (descending |lambda|) and matching orthonormal eigenvectors.
 
-    ``eigenvectors[i]`` is the eigenvector for ``eigenvalues[i]``.
+    ``eigenvectors[i]`` is the eigenvector for ``eigenvalues[i]``.  Built
+    either from eigenpairs, ``Spectrum(eigenvalues, eigenvectors)``, or from
+    a Hermitian matrix by :meth:`of_hermitian`, which defers ``eigh``: the
+    first read of ``eigenvalues`` or ``eigenvectors`` runs it (a
+    ``LinAlgError`` surfaces there) and keeps the result.  ``matrix`` is
+    the operator the spectrum describes: the Hermitian matrix it was built
+    from, or else the eigen-sum of its pairs, formed on first read.  Neither
+    ``size`` nor ``matrix`` of a matrix-built spectrum runs ``eigh``.
+    Concurrent first reads from several threads may each run ``eigh``.
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    __slots__ = ("_matrix", "_pairs")
+
+    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray):
+        self._pairs = (eigenvalues, eigenvectors)
+        self._matrix = None
+
+    @classmethod
+    def of_hermitian(cls, matrix: np.ndarray) -> "Spectrum":
+        """Spectrum of Hermitian ``matrix``, eigendecomposed on first read."""
+        spectrum = cls.__new__(cls)
+        spectrum._pairs = None
+        spectrum._matrix = matrix
+        return spectrum
 
     @property
     def size(self) -> int:
-        return self.eigenvalues.size
+        held = self._matrix if self._pairs is None else self._pairs[0]
+        return held.shape[0]
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._eigenpairs()[0]
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        return self._eigenpairs()[1]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = _eigen_sum(*self._pairs)
+        return self._matrix
+
+    def _eigenpairs(self):
+        if self._pairs is None:
+            lam, vec = np.linalg.eigh(self._matrix)
+            order = np.lexsort((-lam, -np.abs(lam)))
+            self._pairs = lam[order], vec.T[order]
+        return self._pairs
+
+
+def _eigen_sum(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """sum_i values[i] h_i h_i* over the eigenvector rows h_i."""
+    return (vectors.T * values) @ vectors.conj()
 
 
 def build_locop(symbol, windows: WindowSystem) -> LocOperator:
@@ -111,14 +156,15 @@ def hermitian_part(op: LocOperator) -> np.ndarray:
 def eigendecompose(op: LocOperator) -> Spectrum:
     """Full spectrum of a Hermitian localization operator.
 
-    ``eigh`` of the Hermitian part, ordered by descending |lambda| and then
-    descending signed lambda with one stable sort, so exact ties keep
-    ``eigh``'s order.  Eigenvectors are orthonormal; their phases, and the
-    basis chosen inside a degenerate cluster, are whatever LAPACK returns.
+    Checks the asymmetry now (NotSelfAdjointError) and returns the lazy
+    spectrum of the Hermitian part: ``eigh`` runs on the first read of an
+    eigenpair, so a ``LinAlgError`` surfaces there, not here.  Eigenpairs
+    are ordered by descending |lambda| and then descending signed lambda
+    with one stable sort, so exact ties keep ``eigh``'s order.
+    Eigenvectors are orthonormal; their phases, and the basis chosen inside
+    a degenerate cluster, are whatever LAPACK returns.
     """
-    lam, vec = np.linalg.eigh(hermitian_part(op))
-    order = np.lexsort((-lam, -np.abs(lam)))
-    return Spectrum(lam[order], vec.T[order])
+    return Spectrum.of_hermitian(hermitian_part(op))
 
 
 def save_locop(op: LocOperator, path):

@@ -2,9 +2,10 @@
 
 Each estimator is the lower symbol <M pi(z) phi, pi(z) phi> or the
 Weyl-type symbol of one matrix M; A_N keeps A's N leading eigenpairs.
-``recover(method, op, phi, ...)`` is the one method dispatch.  It
-eigendecomposes only to truncate: with all L terms A_N is the Hermitian
-part of A, so was(L) is the lower symbol of A and wawd(L) its Weyl symbol.
+``recover(method, op, phi, ...)`` is the one method dispatch.  Eigenpairs
+are read only to truncate: with all L terms A_N is the Hermitian part of A
+(``Spectrum.matrix``), so was(L) is the lower symbol of A and wawd(L) its
+Weyl symbol, and neither runs ``eigh``.
 
 Methods
 -------
@@ -35,8 +36,10 @@ import numpy as np
 from .core import WindowSystem, as_signal, standard_basis
 from .errors import DegenerateKernelError, NumericalError, ValidationError
 from .gabor import lower_symbol, spectrogram
-from .operator import (LocOperator, Spectrum, build_locop, eigendecompose,
-                       hermitian_part)
+# recover builds its lazy spectrum itself; eigendecompose stays importable
+# here because tests patch recovery.eigendecompose to prove it is not called
+from .operator import (LocOperator, Spectrum, _eigen_sum, build_locop,
+                       eigendecompose, hermitian_part)
 from .wigner import weyl_symbol
 
 _NOISE_BATCH = 128
@@ -61,11 +64,6 @@ def _unit_window(phi) -> np.ndarray:
     return phi
 
 
-def _eigen_sum(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """sum_i values[i] h_i h_i* over the eigenvector rows h_i."""
-    return (vectors.T * values) @ vectors.conj()
-
-
 def _psd_symbol(matrix: np.ndarray, phi: np.ndarray):
     """Lower symbol of a PSD matrix clipped at zero, and the clipped magnitude."""
     est = lower_symbol(matrix, phi).real
@@ -77,7 +75,10 @@ def wn_limit(spectrum: Spectrum, phi) -> np.ndarray:
 
     sum_m lambda_m^2 |dgt(h_m, phi)|^2; also the value of the full
     plane-tiling sum.  Invariant under negating the operator because only
-    squared eigenvalues enter.
+    squared eigenvalues enter.  It reads the eigenpairs even though the sum
+    is the lower symbol of A A*: squaring the eigenvalues makes the result
+    bit-for-bit equal for ``Spectrum(-lambda, V)``, while A A* formed from
+    ``spectrum.matrix`` would agree with it only to roundoff.
     """
     phi = _unit_window(phi)
     lam = spectrum.eigenvalues
@@ -102,8 +103,9 @@ def wn_recover(op: LocOperator, phi, draws: int, noise_var: float,
     phi = _unit_window(phi)
     if draws < 1:
         raise ValidationError(f"draws must be >= 1, got {draws}")
-    if not noise_var > 0:
-        raise ValidationError(f"noise variance must be positive, got {noise_var}")
+    if not (math.isfinite(noise_var) and noise_var > 0):
+        raise ValidationError(
+            f"noise variance must be positive and finite, got {noise_var}")
     if op.size != phi.size:
         raise ValidationError("operator and window sizes differ")
     if not 0 <= seed < 2 ** 64:
@@ -155,6 +157,7 @@ def _truncation(spectrum: Spectrum, terms: int):
     """A_N, the operator rebuilt from its ``terms`` leading eigenpairs, and
     the eigenvalue tail mass sum_{m >= N} |lambda_m| it leaves out.
 
+    With all terms A_N is ``spectrum.matrix`` and no eigenpair is read.
     A cut between two |lambda| closer than DEGENERACY_GAP * |lambda_0| makes
     A_N depend on roundoff, so it raises unless the rest is negligible.
     """
@@ -162,15 +165,16 @@ def _truncation(spectrum: Spectrum, terms: int):
         raise ValidationError(
             f"terms must be in 1..{spectrum.size}, got {terms}"
         )
+    if terms == spectrum.size:
+        return spectrum.matrix, 0.0
     mag = np.abs(spectrum.eigenvalues)
-    if terms < mag.size:
-        gap = mag[terms - 1] - mag[terms]
-        scale = DEGENERACY_GAP * mag[0]
-        if mag[terms] > scale and gap < scale:
-            raise NumericalError(
-                f"truncation at {terms} terms splits an eigenvalue cluster "
-                f"(|lambda| gap {gap:.3e} < {scale:.3e})"
-            )
+    gap = mag[terms - 1] - mag[terms]
+    scale = DEGENERACY_GAP * mag[0]
+    if mag[terms] > scale and gap < scale:
+        raise NumericalError(
+            f"truncation at {terms} terms splits an eigenvalue cluster "
+            f"(|lambda| gap {gap:.3e} < {scale:.3e})"
+        )
     truncated = _eigen_sum(spectrum.eigenvalues[:terms],
                            spectrum.eigenvectors[:terms])
     return truncated, float(np.sum(mag[terms:]))
@@ -216,7 +220,8 @@ def pt_recover(op: LocOperator, basis, phi) -> RecoveryResult:
     """Plane tiling: sum of spectrograms of operator images of a basis.
 
     ``basis`` is any orthonormal family (rows), full or partial.  With a
-    complete basis the sum equals wn_limit for any basis whatsoever.
+    complete basis the sum equals wn_limit for any basis whatsoever, since
+    B B* = A E^T conj(E) A* = A A*; that case skips forming B.
     """
     phi = _unit_window(phi)
     family = np.atleast_2d(np.asarray(basis, dtype=np.complex128))
@@ -225,7 +230,7 @@ def pt_recover(op: LocOperator, basis, phi) -> RecoveryResult:
     gram = family @ family.conj().T
     if np.max(np.abs(gram - np.eye(family.shape[0]))) > 1e-8:
         raise ValidationError("basis must be orthonormal within 1e-8")
-    images = op.matrix @ family.T
+    images = op.matrix if family.shape[0] == op.size else op.matrix @ family.T
     out, clip = _psd_symbol(images @ images.conj().T, phi)
     return RecoveryResult(out, "pt", {"basis_size": family.shape[0],
                                       "psd_clip": clip})
@@ -257,7 +262,7 @@ def recover(method: str, op: LocOperator, phi, *, terms=None, draws: int = 100,
     """Run one of the five estimators on ``op``.
 
     ``terms`` (was, wawd; default L) is the number N of leading eigenpairs
-    kept.  Only N < L eigendecomposes: at N = L, A_N is the Hermitian part
+    kept.  Only N < L runs ``eigh``: at N = L, A_N is the Hermitian part
     of A and the tail mass is 0.  ``phi`` is the reconstruction window
     (unused by wawd).  ``draws``, ``noise_var`` and ``seed`` configure wn,
     ``basis`` is pt's orthonormal family (default the standard basis) and
@@ -273,10 +278,7 @@ def recover(method: str, op: LocOperator, phi, *, terms=None, draws: int = 100,
     if method not in ("was", "wawd"):
         raise ValidationError(f"unknown method {method!r}")
     terms = op.size if terms is None else terms
-    if terms == op.size:
-        parts = hermitian_part(op), 0.0
-    else:
-        parts = _truncation(eigendecompose(op), terms)
+    parts = _truncation(Spectrum.of_hermitian(hermitian_part(op)), terms)
     if method == "was":
         return _was(WindowSystem.single(phi), terms, *parts)
     return _wawd(terms, *parts)

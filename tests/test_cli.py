@@ -243,6 +243,48 @@ def test_bench_negative_seed_exits_2(tmp_path):
     assert not (tmp_path / "report" / "report.json").exists()
 
 
+@pytest.mark.parametrize("sigma2", ["inf", "nan"])
+def test_wn_non_finite_noise_variance_exits_2(tmp_path, circle, sigma2):
+    assert run("recover", "--method", "wn", "--symbol", circle, "--size", 32,
+               "--K", 4, "--sigma2", sigma2, "--out", tmp_path / "x") == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("method", ["was", "wawd"])
+def test_zero_eigs_exits_2(tmp_path, circle, method):
+    assert run("recover", "--method", method, "--symbol", circle, "--size", 32,
+               "--eigs", 0, "--out", tmp_path / "x") == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_eigs_above_size_exits_2_without_eigh(tmp_path, eigh_calls):
+    small = tmp_path / "circle16.csv"
+    assert run("gen-symbol", "--kind", "circle", "--size", 16,
+               "--out", tmp_path / "circle16.pgm", "--csv", small) == 0
+    assert run("recover", "--method", "was", "--symbol", small, "--size", 16,
+               "--eigs", 17, "--out", tmp_path / "x") == 2
+    assert eigh_calls == []
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_eigh_failure_exits_3(tmp_path, circle, monkeypatch):
+    def failing(matrix):
+        raise np.linalg.LinAlgError("eigh did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    assert run("recover", "--method", "was", "--symbol", circle, "--size", 32,
+               "--eigs", 4, "--out", tmp_path / "x") == 3
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_bench_zero_eig_terms_exits_2(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"size": 16, "noise_draws": 4, "eig_terms": 0,
+                               "symbols": [{"kind": "circle"}]}))
+    assert run("bench", "--config", cfg, "--out", tmp_path / "report") == 2
+    assert not (tmp_path / "report" / "report.json").exists()
+
+
 @pytest.mark.parametrize("method", ["was", "wawd"])
 def test_non_hermitian_operator_dump_exits_3(tmp_path, circle, method):
     from locsym import LocOperator, save_locop

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from locsym import (LocOperator, NotSelfAdjointError, ValidationError,
-                    WindowSystem, apply, build_locop, dgt, dgt_adjoint,
-                    eigendecompose, hermite_system, load_locop,
+from locsym import (LocOperator, NotSelfAdjointError, Spectrum,
+                    ValidationError, WindowSystem, apply, build_locop, dgt,
+                    dgt_adjoint, eigendecompose, hermite_system, load_locop,
                     make_gaussian_window, save_locop, tf_shift)
+from locsym.operator import hermitian_part
 
 
 @pytest.fixture
@@ -164,6 +165,60 @@ class TestSpectrum:
         op = build_locop(f, ws)
         with pytest.raises(NotSelfAdjointError):
             eigendecompose(op)
+
+
+class TestLazySpectrum:
+    def op(self, gauss64, seed=20):
+        _, ws = gauss64
+        f = np.random.default_rng(seed).standard_normal((64, 64))
+        return build_locop(f, ws)
+
+    def test_size_and_matrix_read_no_eigenpair(self, gauss64, eigh_calls):
+        op = self.op(gauss64)
+        spec = eigendecompose(op)
+        assert spec.size == 64
+        np.testing.assert_array_equal(spec.matrix, hermitian_part(op))
+        assert eigh_calls == []
+
+    def test_eigenpairs_run_eigh_once(self, gauss64, eigh_calls):
+        spec = eigendecompose(self.op(gauss64))
+        lam = spec.eigenvalues
+        vec = spec.eigenvectors
+        assert spec.eigenvalues is lam and spec.eigenvectors is vec
+        assert len(eigh_calls) == 1
+
+    def test_eigenpairs_are_eager_eigh_sorted(self, gauss64):
+        op = self.op(gauss64, seed=21)
+        lam, vec = np.linalg.eigh((op.matrix + op.matrix.conj().T) / 2)
+        order = np.lexsort((-lam, -np.abs(lam)))
+        spec = eigendecompose(op)
+        np.testing.assert_array_equal(spec.eigenvalues, lam[order])
+        np.testing.assert_array_equal(spec.eigenvectors, vec.T[order])
+
+    def test_built_from_eigenpairs(self, gauss64, eigh_calls):
+        full = eigendecompose(self.op(gauss64, seed=22))
+        lam, vec = -full.eigenvalues, full.eigenvectors
+        spec = Spectrum(lam, vec)
+        assert spec.size == 64
+        assert spec.eigenvalues is lam and spec.eigenvectors is vec
+        np.testing.assert_array_equal(spec.matrix, (vec.T * lam) @ vec.conj())
+        assert len(eigh_calls) == 1
+
+    def test_non_hermitian_raises_before_eigh(self, gauss64, eigh_calls):
+        matrix = np.eye(64, dtype=complex)
+        matrix[3, 4] = 1e-3
+        with pytest.raises(NotSelfAdjointError):
+            eigendecompose(LocOperator(matrix))
+        assert eigh_calls == []
+
+    def test_eigh_failure_surfaces_on_first_read(self, gauss64, monkeypatch):
+        def failing(matrix):
+            raise np.linalg.LinAlgError("eigh did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        spec = eigendecompose(self.op(gauss64))
+        with pytest.raises(np.linalg.LinAlgError):
+            spec.eigenvalues
 
 
 class TestDump:

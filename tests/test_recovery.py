@@ -90,6 +90,12 @@ class TestWhiteNoise:
         with pytest.raises(ValidationError):
             wn_recover(op, g, 4, 0.0, 0)
 
+    @pytest.mark.parametrize("noise_var", [np.inf, np.nan])
+    def test_rejects_non_finite_noise_variance(self, noise_var):
+        g, _, _, op = gauss_setup(16, seed=6)
+        with pytest.raises(ValidationError, match="noise variance"):
+            wn_recover(op, g, 4, noise_var, 0)
+
     def test_estimate_converges_toward_limit(self):
         # mean L1 distance to the limit should fall roughly like 1/sqrt(K)
         L = 32
@@ -241,6 +247,46 @@ class TestRecoverDispatch:
             recover("nope", op, g)
 
 
+class TestSpectrumOnDemand:
+    @pytest.mark.parametrize("L", [64, 65])
+    def test_full_rank_estimators_run_no_eigh(self, L, eigh_calls):
+        g, ws, _, op = gauss_setup(L, seed=35)
+        was_recover(eigendecompose(op), ws, L)
+        wawd_recover(eigendecompose(op), L)
+        assert eigh_calls == []
+
+    def test_truncation_and_wn_limit_keep_eager_bits(self):
+        L = 48
+        g, ws, _, op = gauss_setup(L, seed=36)
+        lam, vec = np.linalg.eigh((op.matrix + op.matrix.conj().T) / 2)
+        order = np.lexsort((-lam, -np.abs(lam)))
+        lam, vec = lam[order], vec.T[order]
+        spec = eigendecompose(op)
+        for terms in (1, 12, L - 1):
+            truncated = (vec[:terms].T * lam[:terms]) @ vec[:terms].conj()
+            np.testing.assert_array_equal(
+                was_recover(spec, ws, terms).estimate,
+                lower_symbol(truncated, g).real)
+        limit = np.maximum(
+            lower_symbol((vec.T * (lam * lam)) @ vec.conj(), g).real, 0.0)
+        np.testing.assert_array_equal(wn_limit(spec, g), limit)
+
+    @pytest.mark.parametrize("method", ["was", "wawd"])
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_full_rank_estimate_ignores_earlier_reads(self, method,
+                                                      read_first):
+        L = 33
+        g, ws, _, op = gauss_setup(L, seed=37)
+        spec = eigendecompose(op)
+        if read_first:
+            spec.eigenvectors
+        got = (was_recover(spec, ws, L) if method == "was"
+               else wawd_recover(spec, L))
+        want = recover(method, op, g)
+        np.testing.assert_array_equal(got.estimate, want.estimate)
+        assert got.meta == want.meta
+
+
 class TestAccumulatedSpectrogram:
     def test_unit_symbol_full_sum_is_one(self):
         g, ws, _, op = gauss_setup(64, symbol=np.ones((64, 64)))
@@ -350,6 +396,21 @@ class TestPlaneTiling:
         full = wn_limit(eigendecompose(op), g)
         partial = pt_recover(op, hermite_system(L, 40, z0), g).estimate
         assert abs(partial[z0] - full[z0]) <= 0.10 * abs(full[z0])
+
+    @pytest.mark.parametrize("family", ["standard", "dft", "hermite:20"])
+    def test_matches_the_image_route(self, family):
+        # B = A E^T; only a complete family may take the shortcut B B* = A A*
+        L = 48
+        g, _, _, op = gauss_setup(L, seed=38)
+        basis = {"standard": standard_basis(L), "dft": dft_basis(L),
+                 "hermite:20": hermite_system(L, 20, (24, 24))}[family]
+        images = op.matrix @ basis.T
+        route = np.maximum(lower_symbol(images @ images.conj().T, g).real, 0.0)
+        est = pt_recover(op, basis, g).estimate
+        assert np.max(np.abs(est - route)) < 1e-12
+        if len(basis) == L:
+            energy = L * np.sum(np.abs(op.matrix) ** 2)
+            assert abs(est.sum() - energy) < 1e-10 * energy
 
     def test_rejects_non_orthonormal_family(self):
         g, _, _, op = gauss_setup(32, seed=14)
