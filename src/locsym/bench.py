@@ -11,6 +11,7 @@ offset (a circular roll of L//2 along the time axis) before comparison.
 
 from __future__ import annotations
 
+import numbers
 import time
 
 import numpy as np
@@ -52,16 +53,66 @@ def window_system_from_config(spec, size: int) -> WindowSystem:
     )
 
 
-def _symbol_specs(config) -> list:
-    specs = []
-    for entry in config.get("symbols", []):
-        spec = SymbolSpec(
-            kind=entry["kind"],
-            size=config["size"],
-            params=entry.get("params", {}),
-            value_range=tuple(entry.get("value_range", (0.0, 1.0))),
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# (key, test, what the value must be) for each top-level config key
+_CONFIG_CHECKS = (
+    ("size", _is_integer, "an integer"),
+    ("noise_draws", _is_integer, "an integer"),
+    ("seed", _is_integer, "an integer"),
+    ("eig_terms", lambda v: v is None or _is_integer(v), "an integer or null"),
+    ("sigma2", _is_real, "a real number"),
+    ("window", lambda v: isinstance(v, str) or (
+        isinstance(v, list) and len(v) > 0
+        and all(isinstance(kind, str) for kind in v)),
+     "a string or a non-empty list of strings"),
+    ("recon_window", lambda v: v is None or isinstance(v, str),
+     "a string or null"),
+    ("symbols", lambda v: isinstance(v, list), "a list of objects"),
+)
+
+
+def _check_config(config) -> None:
+    if not isinstance(config, dict):
+        raise ValidationError("bench config must be a JSON object")
+    if config.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
+        raise ValidationError(
+            f"unsupported config schema_version {config.get('schema_version')!r}"
         )
-        specs.append((entry.get("name", entry["kind"]), spec))
+    if "size" not in config:
+        raise ValidationError("bench config needs 'size'")
+    for key, valid, what in _CONFIG_CHECKS:
+        if key in config and not valid(config[key]):
+            raise ValidationError(
+                f"config {key!r} must be {what}, got {config[key]!r}")
+
+
+def _symbol_specs(entries, size: int) -> list:
+    specs = []
+    for entry in entries:
+        if not (isinstance(entry, dict) and isinstance(entry.get("kind"), str)):
+            raise ValidationError(
+                f"each symbol must be an object with a string 'kind', got {entry!r}")
+        name = entry.get("name", entry["kind"])
+        params = entry.get("params", {})
+        value_range = entry.get("value_range", (0.0, 1.0))
+        if not isinstance(name, str):
+            raise ValidationError(f"symbol name must be a string, got {name!r}")
+        if not isinstance(params, dict):
+            raise ValidationError(f"symbol {name!r}: params must be an object")
+        if not (isinstance(value_range, (list, tuple)) and len(value_range) == 2
+                and all(_is_real(v) for v in value_range)):
+            raise ValidationError(
+                f"symbol {name!r}: value_range must be two numbers, "
+                f"got {value_range!r}")
+        specs.append((name, SymbolSpec(entry["kind"], size, params,
+                                       tuple(value_range))))
     return specs
 
 
@@ -86,10 +137,15 @@ def _compare(method: str, estimate: np.ndarray, truth: np.ndarray,
 def bench_all(config: dict) -> dict:
     """Run every method on every configured symbol; returns the report.
 
-    Deterministic for a fixed seed.  Required config keys: ``size`` and
-    ``symbols``; optional: window, recon_window, noise_draws, sigma2, seed,
-    eig_terms.
+    Deterministic for a fixed seed.  The config is checked before any work
+    (ValidationError): ``size`` (required), ``noise_draws``, ``seed`` and
+    ``eig_terms`` (null: L) are integers, ``sigma2`` a real number,
+    ``window`` a string or a non-empty list of strings, ``recon_window`` a
+    string or null, and ``symbols`` a list of objects with a string
+    ``kind``, optional string ``name``, object ``params`` and two-number
+    ``value_range``.
     """
+    _check_config(config)
     size = int(config["size"])
     window_spec = config.get("window", "gauss")
     recon_spec = config.get("recon_window", None)
@@ -97,7 +153,8 @@ def bench_all(config: dict) -> dict:
     sigma2 = float(config.get("sigma2", 1.0))
     seed = int(config.get("seed", 0))
     terms = config.get("eig_terms")
-    terms = size if terms is None else terms
+    terms = size if terms is None else int(terms)
+    specs = _symbol_specs(config.get("symbols", []), size)
 
     windows = window_system_from_config(window_spec, size)
     if recon_spec is None:
@@ -106,7 +163,7 @@ def bench_all(config: dict) -> dict:
         phi = parse_window(recon_spec, size)
 
     rows = []
-    for name, spec in _symbol_specs(config):
+    for name, spec in specs:
         truth = gen_symbol(spec)
         signed = spec.value_range[0] < 0.0
         op = build_locop(truth, windows)
@@ -132,7 +189,7 @@ def bench_all(config: dict) -> dict:
         "sigma2": sigma2,
         "seed": seed,
         "eig_terms": terms,
-        "symbols": [name for name, _ in _symbol_specs(config)],
+        "symbols": [name for name, _ in specs],
     }
     return {"schema_version": SCHEMA_VERSION, "config": resolved, "rows": rows}
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -68,8 +69,16 @@ def _parse_region(spec: str, size: int):
 
 
 # result.meta values copied into the recover sidecar, under their sidecar names
-_SIDECAR_META = (("noise_var_hat", "sigma2_hat"),
+_SIDECAR_META = (("draws", "draws"), ("noise_var", "sigma2"), ("seed", "seed"),
+                 ("noise_var_hat", "sigma2_hat"), ("terms", "eig_terms"),
                  ("eig_tail_mass", "eig_tail_mass"))
+
+
+def _parse_json(text: str, what: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def _write_outputs(grid, out: str, sidecar: dict, value_range):
@@ -82,7 +91,9 @@ def _write_outputs(grid, out: str, sidecar: dict, value_range):
 
 
 def _cmd_gen_symbol(args) -> int:
-    params = json.loads(args.params) if args.params else {}
+    params = _parse_json(args.params, "--params") if args.params else {}
+    if not isinstance(params, dict):
+        raise ValidationError("--params must be a JSON object")
     if args.kind == "circle" and args.radius is not None:
         params.setdefault("radius", args.radius)
     spec = SymbolSpec(args.kind, args.size, params,
@@ -117,7 +128,6 @@ def _cmd_recover(args) -> int:
     if args.dump_operator:
         save_locop(op, args.dump_operator)
 
-    terms = args.size if args.eigs is None else args.eigs
     meta = {
         "schema_version": SCHEMA_VERSION,
         "version": __version__,
@@ -130,16 +140,10 @@ def _cmd_recover(args) -> int:
         "value_range": list(value_range),
         "compress_positive_frequency": args.compress_positive_frequency,
     }
-    meta.update({
-        "wn": {"draws": args.noise_draws, "sigma2": args.sigma2,
-               "seed": args.seed},
-        "was": {"eig_terms": terms},
-        "wawd": {"eig_terms": terms},
-        "pt": {"basis": args.basis},
-        "gp": {"region": args.region},
-    }[args.method])
+    meta.update({"pt": {"basis": args.basis},
+                 "gp": {"region": args.region}}.get(args.method, {}))
     result = recover(
-        args.method, op, phi, terms=terms, draws=args.noise_draws,
+        args.method, op, phi, terms=args.eigs, draws=args.noise_draws,
         noise_var=args.sigma2, seed=args.seed,
         basis=_parse_basis(args.basis, args.size) if args.method == "pt" else None,
         region=(_parse_region(args.region, args.size)
@@ -190,14 +194,8 @@ def _cmd_deconvolve(args) -> int:
 
 def _cmd_bench(args) -> int:
     with open(args.config) as fh:
-        config = json.load(fh)
-    if config.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
-        raise ValidationError(
-            f"unsupported config schema_version {config.get('schema_version')!r}"
-        )
+        config = _parse_json(fh.read(), f"--config {args.config}")
     report = bench_all(config)
-    import os
-
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "report.json"), "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

@@ -89,7 +89,9 @@ def hermite_system(length: int, count: int, center=(0, 0)) -> np.ndarray:
     q = (q * np.sign(pivots)).T.astype(np.complex128, order="C")
     if center == (0, 0):
         return q
-    return np.stack([tf_shift(row, center) for row in q])
+    n, m = center
+    phase = np.exp(2j * math.pi * m * np.arange(length) / length)
+    return phase * np.roll(q, n, axis=1)
 
 
 def standard_basis(length: int) -> np.ndarray:

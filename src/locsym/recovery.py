@@ -2,10 +2,11 @@
 
 Each estimator is the lower symbol <M pi(z) phi, pi(z) phi> or the
 Weyl-type symbol of one matrix M; A_N keeps A's N leading eigenpairs.
-``recover(method, op, phi, ...)`` is the one method dispatch.  Eigenpairs
-are read only to truncate: with all L terms A_N is the Hermitian part of A
-(``Spectrum.matrix``), so was(L) is the lower symbol of A and wawd(L) its
-Weyl symbol, and neither runs ``eigh``.
+``recover(method, op, phi, ...)`` is the one method dispatch over the
+public estimators.  was and wawd read eigenpairs of the lazy
+``eigendecompose`` spectrum only to truncate: with all L terms A_N is the
+Hermitian part of A (``Spectrum.matrix``), so was(L) is the lower symbol
+of A and wawd(L) its Weyl symbol, and neither runs ``eigh``.
 
 Methods
 -------
@@ -36,10 +37,8 @@ import numpy as np
 from .core import WindowSystem, as_signal, standard_basis
 from .errors import DegenerateKernelError, NumericalError, ValidationError
 from .gabor import lower_symbol, spectrogram
-# recover builds its lazy spectrum itself; eigendecompose stays importable
-# here because tests patch recovery.eigendecompose to prove it is not called
 from .operator import (LocOperator, Spectrum, _eigen_sum, build_locop,
-                       eigendecompose, hermitian_part)
+                       eigendecompose)
 from .wigner import weyl_symbol
 
 _NOISE_BATCH = 128
@@ -86,7 +85,7 @@ def wn_limit(spectrum: Spectrum, phi) -> np.ndarray:
 
 
 def wn_recover(op: LocOperator, phi, draws: int, noise_var: float,
-               seed: int, real_noise: bool = False) -> RecoveryResult:
+               seed: int) -> RecoveryResult:
     """Monte-Carlo white-noise probing of the operator.
 
     Draws ``draws`` complex circular Gaussian signals with per-entry
@@ -95,10 +94,6 @@ def wn_recover(op: LocOperator, phi, draws: int, noise_var: float,
     averages the spectrograms.  The estimate is that average divided by the observed
     noise level, the mean of |dgt(noise, phi)|^2 over realizations and
     lattice points; it targets the squared symbol, so signs are lost.
-
-    ``real_noise`` switches to real-valued noise of the same variance
-    (kept behind a flag: constants degrade, and nothing downstream
-    depends on it).
     """
     phi = _unit_window(phi)
     if draws < 1:
@@ -121,8 +116,7 @@ def wn_recover(op: LocOperator, phi, draws: int, noise_var: float,
     rng = np.random.Generator(bits)
     state = bits.state
     key = state["state"]["key"]
-    gauss = np.empty((min(draws, _NOISE_BATCH),
-                      length if real_noise else 2 * length))
+    gauss = np.empty((min(draws, _NOISE_BATCH), 2 * length))
     covariance = np.zeros((length, length), dtype=np.complex128)
     energy = 0.0
     for lo in range(0, draws, _NOISE_BATCH):
@@ -132,10 +126,7 @@ def wn_recover(op: LocOperator, phi, draws: int, noise_var: float,
             bits.state = state
             rng.standard_normal(out=row)
         draw = gauss[:hi - lo]
-        if real_noise:
-            noise = (scale * math.sqrt(2.0)) * draw + 0j
-        else:
-            noise = scale * (draw[:, :length] + 1j * draw[:, length:])
+        noise = scale * (draw[:, :length] + 1j * draw[:, length:])
         filtered = noise @ op.matrix.T
         covariance += filtered.T @ filtered.conj()
         energy += float(np.sum(noise.real ** 2 + noise.imag ** 2))
@@ -146,7 +137,6 @@ def wn_recover(op: LocOperator, phi, draws: int, noise_var: float,
         "noise_var": noise_var,
         "noise_var_hat": noise_var_hat,
         "seed": seed,
-        "real_noise": real_noise,
         "avg_observed": avg,
         "psd_clip": clip / noise_var_hat,
     }
@@ -180,21 +170,6 @@ def _truncation(spectrum: Spectrum, terms: int):
     return truncated, float(np.sum(mag[terms:]))
 
 
-def _was(system: WindowSystem, terms: int, truncated: np.ndarray,
-         tail: float) -> RecoveryResult:
-    out = sum(w * lower_symbol(truncated, tau).real for w, tau in system)
-    return RecoveryResult(out, "was", {"terms": terms, "eig_tail_mass": tail})
-
-
-def _wawd(terms: int, truncated: np.ndarray, tail: float) -> RecoveryResult:
-    meta = {
-        "terms": terms,
-        "eig_tail_mass": tail,
-        "even_length_artifacts": truncated.shape[0] % 2 == 0,
-    }
-    return RecoveryResult(weyl_symbol(truncated).real, "wawd", meta)
-
-
 def was_recover(spectrum: Spectrum, system: WindowSystem,
                 terms: int) -> RecoveryResult:
     """Weighted accumulated Cohen's class over the leading eigenpairs.
@@ -203,7 +178,9 @@ def was_recover(spectrum: Spectrum, system: WindowSystem,
     eigenpairs.  With all terms and a rank-one system this is the Gabor
     projection estimator, computed through spectral data instead.
     """
-    return _was(system, terms, *_truncation(spectrum, terms))
+    truncated, tail = _truncation(spectrum, terms)
+    out = sum(w * lower_symbol(truncated, tau).real for w, tau in system)
+    return RecoveryResult(out, "was", {"terms": terms, "eig_tail_mass": tail})
 
 
 def wawd_recover(spectrum: Spectrum, terms: int) -> RecoveryResult:
@@ -213,7 +190,13 @@ def wawd_recover(spectrum: Spectrum, terms: int) -> RecoveryResult:
     convolution (1/L)(f conv W(g)); for even L the Wigner frequency
     aliasing leaks into the estimate, which the meta flag records.
     """
-    return _wawd(terms, *_truncation(spectrum, terms))
+    truncated, tail = _truncation(spectrum, terms)
+    meta = {
+        "terms": terms,
+        "eig_tail_mass": tail,
+        "even_length_artifacts": truncated.shape[0] % 2 == 0,
+    }
+    return RecoveryResult(weyl_symbol(truncated).real, "wawd", meta)
 
 
 def pt_recover(op: LocOperator, basis, phi) -> RecoveryResult:
@@ -275,13 +258,12 @@ def recover(method: str, op: LocOperator, phi, *, terms=None, draws: int = 100,
                           phi)
     if method == "gp":
         return gp_recover(op, phi, region)
-    if method not in ("was", "wawd"):
-        raise ValidationError(f"unknown method {method!r}")
     terms = op.size if terms is None else terms
-    parts = _truncation(Spectrum.of_hermitian(hermitian_part(op)), terms)
     if method == "was":
-        return _was(WindowSystem.single(phi), terms, *parts)
-    return _wawd(terms, *parts)
+        return was_recover(eigendecompose(op), WindowSystem.single(phi), terms)
+    if method == "wawd":
+        return wawd_recover(eigendecompose(op), terms)
+    raise ValidationError(f"unknown method {method!r}")
 
 
 def impulse_kernel(windows: WindowSystem, phi, mode: str = "analytic",
@@ -302,14 +284,11 @@ def impulse_kernel(windows: WindowSystem, phi, mode: str = "analytic",
         return out
     if mode != "measured":
         raise ValidationError(f"unknown impulse mode {mode!r}")
+    if estimator not in ("gp", "was"):
+        raise ValidationError(f"unsupported impulse estimator {estimator!r}")
     delta = np.zeros((length, length))
     delta[0, 0] = 1.0
-    op = build_locop(delta, windows)
-    if estimator == "gp":
-        return gp_recover(op, phi).estimate
-    if estimator == "was":
-        return recover("was", op, phi).estimate
-    raise ValidationError(f"unsupported impulse estimator {estimator!r}")
+    return recover(estimator, build_locop(delta, windows), phi).estimate
 
 
 def deconvolve(estimate, kernel, eps: float) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 import json
 
+import numpy as np
+
 from locsym import bench_all, report_csv, report_text
 
 
@@ -64,3 +66,15 @@ def test_text_and_csv_formatting():
     csv = report_csv(report)
     assert csv.splitlines()[0] == "symbol,method,rel_l1_error,percent,seconds"
     assert len(csv.splitlines()) == 6
+
+
+def test_numpy_integers_and_integer_ranges_are_valid():
+    plain = bench_all(small_config(eig_terms=32, symbols=[
+        {"kind": "tiles", "value_range": (-1.0, 1.0)}]))
+    numpy_ints = bench_all(small_config(
+        size=np.int64(32), noise_draws=np.int32(25), seed=np.uint64(0),
+        eig_terms=np.int64(32),
+        symbols=[{"kind": "tiles", "value_range": [-1, 1]}]))
+    assert json.loads(json.dumps(numpy_ints["config"])) == plain["config"]
+    assert ([row["rel_l1_error"] for row in numpy_ints["rows"]]
+            == [row["rel_l1_error"] for row in plain["rows"]])

@@ -151,6 +151,38 @@ def test_was_on_signed_symbol(tmp_path):
     assert sidecar["eig_tail_mass"] == 0.0  # all eigenpairs used
 
 
+SIDECAR_METHOD_KEYS = {
+    "wn": {"draws", "sigma2", "seed", "sigma2_hat"},
+    "was": {"eig_terms", "eig_tail_mass"},
+    "wawd": {"eig_terms", "eig_tail_mass"},
+    "pt": {"basis"},
+    "gp": {"region"},
+}
+
+
+@pytest.mark.parametrize("method,eigs", [
+    ("wn", None), ("was", None), ("was", 8), ("wawd", None), ("wawd", 8),
+    ("pt", None), ("gp", None)])
+def test_recover_sidecar_has_its_method_keys_only(tmp_path, circle, method,
+                                                  eigs):
+    extra = () if eigs is None else ("--eigs", eigs)
+    assert run("recover", "--method", method, "--symbol", circle, "--size", 32,
+               "--K", 4, "--sigma2", 0.5, "--seed", 9, *extra,
+               "--out", tmp_path / "x") == 0
+    sidecar = json.loads((tmp_path / "x.json").read_text())
+    own = SIDECAR_METHOD_KEYS[method]
+    assert own <= sidecar.keys()
+    assert not (set().union(*SIDECAR_METHOD_KEYS.values()) - own) & sidecar.keys()
+    expected = {
+        "wn": {"draws": 4, "sigma2": 0.5, "seed": 9},
+        "was": {"eig_terms": 32 if eigs is None else eigs},
+        "wawd": {"eig_terms": 32 if eigs is None else eigs},
+        "pt": {"basis": "standard"},
+        "gp": {"region": None},
+    }[method]
+    assert {key: sidecar[key] for key in expected} == expected
+
+
 def test_empty_region_exits_2(tmp_path, circle):
     assert run("recover", "--method", "gp", "--symbol", circle, "--size", 32,
                "--region", "8,8,4,4", "--out", tmp_path / "x") == 2
@@ -306,3 +338,56 @@ def test_threads_without_threadpoolctl_warns(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert "--threads 2 ignored" in err[0]
+
+
+DROP = object()
+
+
+def bench_config_text(**changes):
+    """A valid small bench config with some keys replaced or dropped."""
+    config = {"size": 16, "noise_draws": 4, "symbols": [{"kind": "circle"}]}
+    config.update(changes)
+    return json.dumps({k: v for k, v in config.items() if v is not DROP})
+
+
+MALFORMED_BENCH_CONFIGS = {
+    "eig_terms-str": bench_config_text(eig_terms="8"),
+    "eig_terms-float": bench_config_text(eig_terms=3.5),
+    "eig_terms-bool": bench_config_text(eig_terms=True),
+    "size-str": bench_config_text(size="16x"),
+    "size-missing": bench_config_text(size=DROP),
+    "noise_draws-float": bench_config_text(noise_draws=2.5),
+    "seed-float": bench_config_text(seed=1.9),
+    "sigma2-str": bench_config_text(sigma2="1"),
+    "window-int": bench_config_text(window=5),
+    "window-empty": bench_config_text(window=[]),
+    "recon_window-int": bench_config_text(recon_window=7),
+    "value_range-one": bench_config_text(
+        symbols=[{"kind": "circle", "value_range": [0]}]),
+    "symbol-empty": bench_config_text(symbols=[{}]),
+    "symbols-str": bench_config_text(symbols="circle"),
+    "params-int": bench_config_text(
+        symbols=[{"kind": "circle", "params": 5}]),
+    "name-int": bench_config_text(symbols=[{"kind": "circle", "name": 3}]),
+    "top-level-list": json.dumps([1, 2]),
+    "not-json": '{"size": 16,',
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_BENCH_CONFIGS.values(),
+                         ids=MALFORMED_BENCH_CONFIGS.keys())
+def test_malformed_bench_config_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert run("bench", "--config", cfg, "--out", tmp_path / "report") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize("params", ['{"radius": 4', "[1, 2]"],
+                         ids=["not-json", "list"])
+def test_malformed_symbol_params_exit_2(tmp_path, capsys, params):
+    assert run("gen-symbol", "--kind", "circle", "--size", 16,
+               "--params", params, "--out", tmp_path / "c.pgm") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "c.pgm").exists()

@@ -120,6 +120,14 @@ class TestHermiteSystem:
             center = (ang * L / (2 * math.pi)) % L
             assert min(abs(center - L / 2), L - abs(center - L / 2)) <= 1.0
 
+    @pytest.mark.parametrize("L,count,center", [
+        (256, 128, (128, 128)), (33, 33, (5, -7)), (64, 10, (70, 3))])
+    def test_shifted_family_is_per_row_tf_shift(self, L, count, center):
+        reference = np.stack([tf_shift(row, center)
+                              for row in hermite_system(L, count)])
+        np.testing.assert_array_equal(hermite_system(L, count, center),
+                                      reference)
+
     def test_count_out_of_range(self):
         with pytest.raises(ValidationError):
             hermite_system(16, 17)

@@ -77,12 +77,6 @@ class TestWhiteNoise:
         res = wn_recover(op, g, 64, 2.5, 0)
         assert abs(res.meta["noise_var_hat"] / 2.5 - 1.0) < 0.05
 
-    def test_real_noise_flag_runs(self):
-        g, _, _, op = gauss_setup(32, seed=5)
-        res = wn_recover(op, g, 4, 1.0, 0, real_noise=True)
-        assert res.meta["real_noise"] is True
-        assert np.all(res.estimate >= 0)
-
     def test_rejects_bad_counts(self):
         g, _, _, op = gauss_setup(32, seed=6)
         with pytest.raises(ValidationError):
@@ -110,7 +104,7 @@ class TestWhiteNoise:
         assert mean_dist(1600) < mean_dist(25) / 4.0
 
 
-def per_draw_generator_wn(op, phi, draws, noise_var, seed, real_noise):
+def per_draw_generator_wn(op, phi, draws, noise_var, seed):
     """wn estimate with one Generator(Philox(key=[seed, k])) per draw.
 
     The same arithmetic as wn_recover, batch for batch, so the two agree
@@ -125,13 +119,9 @@ def per_draw_generator_wn(op, phi, draws, noise_var, seed, real_noise):
         for k in range(lo, min(lo + locsym.recovery._NOISE_BATCH, draws)):
             rng = np.random.Generator(np.random.Philox(
                 key=np.array([seed, k], dtype=np.uint64)))
-            if real_noise:
-                rows.append((scale * np.sqrt(2.0))
-                            * rng.standard_normal(length) + 0j)
-            else:
-                re = rng.standard_normal(length)
-                im = rng.standard_normal(length)
-                rows.append(scale * (re + 1j * im))
+            re = rng.standard_normal(length)
+            im = rng.standard_normal(length)
+            rows.append(scale * (re + 1j * im))
         noise = np.stack(rows)
         filtered = noise @ op.matrix.T
         covariance += filtered.T @ filtered.conj()
@@ -142,15 +132,12 @@ def per_draw_generator_wn(op, phi, draws, noise_var, seed, real_noise):
 
 class TestNoiseSubstreams:
     # draws 129 and 300 cross the 128-draw batch boundary
-    @pytest.mark.parametrize("real_noise", [False, True])
     @pytest.mark.parametrize("draws", [1, 129, 300])
-    def test_matches_per_draw_generators(self, draws, real_noise):
+    def test_matches_per_draw_generators(self, draws):
         g, _, _, op = gauss_setup(24, seed=30)
-        est = wn_recover(op, g, draws, 0.8, 2 ** 63 + 5,
-                         real_noise=real_noise).estimate
+        est = wn_recover(op, g, draws, 0.8, 2 ** 63 + 5).estimate
         np.testing.assert_array_equal(
-            est, per_draw_generator_wn(op, g, draws, 0.8, 2 ** 63 + 5,
-                                       real_noise))
+            est, per_draw_generator_wn(op, g, draws, 0.8, 2 ** 63 + 5))
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])
     def test_rejects_seed_outside_uint64(self, seed):
@@ -162,7 +149,7 @@ class TestNoiseSubstreams:
         g, _, _, op = gauss_setup(16, seed=31)
         est = wn_recover(op, g, 2, 1.0, 2 ** 64 - 1).estimate
         np.testing.assert_array_equal(
-            est, per_draw_generator_wn(op, g, 2, 1.0, 2 ** 64 - 1, False))
+            est, per_draw_generator_wn(op, g, 2, 1.0, 2 ** 64 - 1))
 
 
 def star_two_windows(L):
@@ -172,22 +159,16 @@ def star_two_windows(L):
     return g, op
 
 
-def refuse_eigendecompose(op):
-    raise AssertionError("eigendecompose called at N = L")
-
-
 class TestRecoverDispatch:
     @pytest.mark.parametrize("L,kind", [(64, "circle"), (65, "star"),
                                         (64, "tiles")])
     def test_full_terms_match_spectrum_path_without_eigh(
-            self, L, kind, monkeypatch):
+            self, L, kind, eigh_calls):
         g, ws, _, op = gauss_setup(L, symbol=gen_symbol(
             SymbolSpec(kind, L, {}, (-1.0, 1.0))))
         spec = eigendecompose(op)
         expected = {"was": was_recover(spec, ws, L),
                     "wawd": wawd_recover(spec, L)}
-        monkeypatch.setattr(locsym.recovery, "eigendecompose",
-                            refuse_eigendecompose)
         for method, want in expected.items():
             for terms in (None, L):
                 got = recover(method, op, g, terms=terms)
@@ -195,6 +176,7 @@ class TestRecoverDispatch:
                 assert got.meta == want.meta
                 assert got.meta["eig_tail_mass"] == 0.0
                 assert np.max(np.abs(got.estimate - want.estimate)) < 1e-13
+        assert eigh_calls == []
 
     def test_truncation_is_the_spectrum_path_bit_for_bit(self):
         L = 48
@@ -505,14 +487,13 @@ class TestImpulseKernel:
         measured = impulse_kernel(ws, g, mode="measured", estimator="was")
         assert np.max(np.abs(measured - analytic)) < 1e-9
 
-    def test_measured_was_skips_eigendecompose(self, monkeypatch):
+    def test_measured_was_skips_eigendecompose(self, eigh_calls):
         L = 32
         g = make_gaussian_window(L)
         ws = WindowSystem.single(g)
-        monkeypatch.setattr(locsym.recovery, "eigendecompose",
-                            refuse_eigendecompose)
         measured = impulse_kernel(ws, g, mode="measured", estimator="was")
         assert np.max(np.abs(measured - impulse_kernel(ws, g))) < 1e-9
+        assert eigh_calls == []
 
     def test_mixed_state_kernel_is_weighted_sum(self):
         L = 32
