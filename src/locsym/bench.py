@@ -11,7 +11,6 @@ offset (a circular roll of L//2 along the time axis) before comparison.
 
 from __future__ import annotations
 
-import numbers
 import time
 
 import numpy as np
@@ -21,7 +20,7 @@ from .errors import ValidationError
 from .metrics import rel_l1_error
 from .operator import build_locop
 from .recovery import recover
-from .symbols import SymbolSpec, gen_symbol
+from .symbols import SymbolSpec, check_fields, gen_symbol, is_integer, is_real
 
 SCHEMA_VERSION = 1
 METHODS = ("wn", "was", "wawd", "pt", "gp")
@@ -53,21 +52,13 @@ def window_system_from_config(spec, size: int) -> WindowSystem:
     )
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 # (key, test, what the value must be) for each top-level config key
 _CONFIG_CHECKS = (
-    ("size", _is_integer, "an integer"),
-    ("noise_draws", _is_integer, "an integer"),
-    ("seed", _is_integer, "an integer"),
-    ("eig_terms", lambda v: v is None or _is_integer(v), "an integer or null"),
-    ("sigma2", _is_real, "a real number"),
+    ("size", is_integer, "an integer"),
+    ("noise_draws", is_integer, "an integer"),
+    ("seed", is_integer, "an integer"),
+    ("eig_terms", lambda v: v is None or is_integer(v), "an integer or null"),
+    ("sigma2", is_real, "a real number"),
     ("window", lambda v: isinstance(v, str) or (
         isinstance(v, list) and len(v) > 0
         and all(isinstance(kind, str) for kind in v)),
@@ -76,43 +67,27 @@ _CONFIG_CHECKS = (
      "a string or null"),
     ("symbols", lambda v: isinstance(v, list), "a list of objects"),
 )
+# a symbol entry's own key; SymbolSpec checks kind, params and value_range
+_SYMBOL_CHECKS = (("name", lambda v: isinstance(v, str), "a string"),)
 
 
 def _check_config(config) -> None:
-    if not isinstance(config, dict):
-        raise ValidationError("bench config must be a JSON object")
+    check_fields(config, _CONFIG_CHECKS, "bench config")
     if config.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ValidationError(
             f"unsupported config schema_version {config.get('schema_version')!r}"
         )
     if "size" not in config:
         raise ValidationError("bench config needs 'size'")
-    for key, valid, what in _CONFIG_CHECKS:
-        if key in config and not valid(config[key]):
-            raise ValidationError(
-                f"config {key!r} must be {what}, got {config[key]!r}")
 
 
 def _symbol_specs(entries, size: int) -> list:
     specs = []
     for entry in entries:
-        if not (isinstance(entry, dict) and isinstance(entry.get("kind"), str)):
-            raise ValidationError(
-                f"each symbol must be an object with a string 'kind', got {entry!r}")
-        name = entry.get("name", entry["kind"])
-        params = entry.get("params", {})
-        value_range = entry.get("value_range", (0.0, 1.0))
-        if not isinstance(name, str):
-            raise ValidationError(f"symbol name must be a string, got {name!r}")
-        if not isinstance(params, dict):
-            raise ValidationError(f"symbol {name!r}: params must be an object")
-        if not (isinstance(value_range, (list, tuple)) and len(value_range) == 2
-                and all(_is_real(v) for v in value_range)):
-            raise ValidationError(
-                f"symbol {name!r}: value_range must be two numbers, "
-                f"got {value_range!r}")
-        specs.append((name, SymbolSpec(entry["kind"], size, params,
-                                       tuple(value_range))))
+        check_fields(entry, _SYMBOL_CHECKS, "symbol")
+        spec = SymbolSpec(entry.get("kind"), size, **{
+            key: entry[key] for key in ("params", "value_range") if key in entry})
+        specs.append((entry.get("name", spec.kind), spec))
     return specs
 
 
@@ -141,9 +116,9 @@ def bench_all(config: dict) -> dict:
     (ValidationError): ``size`` (required), ``noise_draws``, ``seed`` and
     ``eig_terms`` (null: L) are integers, ``sigma2`` a real number,
     ``window`` a string or a non-empty list of strings, ``recon_window`` a
-    string or null, and ``symbols`` a list of objects with a string
-    ``kind``, optional string ``name``, object ``params`` and two-number
-    ``value_range``.
+    string or null, and ``symbols`` a list of objects, each with an
+    optional string ``name`` and the ``kind``, ``params`` and
+    ``value_range`` that ``SymbolSpec`` checks.
     """
     _check_config(config)
     size = int(config["size"])

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: gen-symbol, recover, impulse, deconvolve, bench.  Exit codes:
-0 success, 2 validation error, 3 numerical failure.  Estimates are written
-as PGM (viewable) plus CSV (exact) with a JSON sidecar embedding the full
-resolved configuration, so every run is self-describing.
+0 success, 2 validation error or unreadable file, 3 numerical failure.
+Estimates are written as PGM (viewable) plus CSV (exact) with a JSON sidecar
+embedding the full resolved configuration, so every run is self-describing.
 """
 
 from __future__ import annotations
@@ -13,18 +13,19 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
 from .bench import (SCHEMA_VERSION, bench_all, parse_window, report_csv,
                     report_text, window_system_from_config)
-from .core import dft_basis, hermite_system, standard_basis
+from .core import hermite_system
 from .errors import NumericalError, ValidationError
 from .mapio import load_map, save_csv, save_pgm
 from .operator import build_locop, load_locop, save_locop
 from .recovery import deconvolve, impulse_kernel, recover
-from .symbols import SymbolSpec, compress_positive_frequency, gen_symbol
+from .symbols import KINDS, SymbolSpec, compress_positive_frequency, gen_symbol
 
 
 def _limit_threads(threads: int):
@@ -40,10 +41,8 @@ def _limit_threads(threads: int):
 
 
 def _parse_basis(spec: str, size: int):
-    if spec == "standard":
-        return standard_basis(size)
-    if spec == "dft":
-        return dft_basis(size)
+    if spec in ("standard", "dft"):
+        return None  # complete: pt needs only A A*
     if spec.startswith("hermite:"):
         body = spec.split(":", 1)[1]
         try:
@@ -81,6 +80,13 @@ def _parse_json(text: str, what: str):
         raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
 
 
+def _check_out_dirs(*paths):
+    """Fail before any work when an output path's directory is missing."""
+    for path in paths:
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValidationError(f"output directory of {path!r} does not exist")
+
+
 def _write_outputs(grid, out: str, sidecar: dict, value_range):
     base = out[:-4] if out.lower().endswith((".pgm", ".csv")) else out
     save_pgm(grid, base + ".pgm", value_range)
@@ -91,13 +97,12 @@ def _write_outputs(grid, out: str, sidecar: dict, value_range):
 
 
 def _cmd_gen_symbol(args) -> int:
+    _check_out_dirs(args.out, args.csv)
     params = _parse_json(args.params, "--params") if args.params else {}
-    if not isinstance(params, dict):
-        raise ValidationError("--params must be a JSON object")
-    if args.kind == "circle" and args.radius is not None:
-        params.setdefault("radius", args.radius)
     spec = SymbolSpec(args.kind, args.size, params,
                       (args.range_lo, args.range_hi))
+    if args.kind == "circle" and args.radius is not None:
+        spec = replace(spec, params={"radius": args.radius, **params})
     grid = gen_symbol(spec)
     save_pgm(grid, args.out, spec.value_range)
     if args.csv:
@@ -106,6 +111,7 @@ def _cmd_gen_symbol(args) -> int:
 
 
 def _cmd_recover(args) -> int:
+    _check_out_dirs(args.out, args.dump_operator)
     value_range = (args.range_lo, args.range_hi)
     symbol = load_map(args.symbol, value_range)
     if symbol.shape[0] != args.size:
@@ -161,6 +167,7 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_impulse(args) -> int:
+    _check_out_dirs(args.out)
     windows = window_system_from_config(args.window.split(","), args.size)
     phi = (parse_window(args.recon_window, args.size)
            if args.recon_window else windows.windows[0])
@@ -179,6 +186,7 @@ def _cmd_impulse(args) -> int:
 
 
 def _cmd_deconvolve(args) -> int:
+    _check_out_dirs(args.out)
     est = load_map(args.est, (args.range_lo, args.range_hi))
     kernel = load_map(args.kernel)
     out = deconvolve(est, kernel, args.eps)
@@ -219,9 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-symbol", help="generate a synthetic symbol")
-    p.add_argument("--kind", required=True,
-                   choices=["circle", "gaussians", "star", "lines_circles",
-                            "blurred_lines_circles", "tiles", "bitmap"])
+    p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--radius", type=float, help="circle radius override")
     p.add_argument("--params", help="kind parameters as a JSON object")
@@ -289,7 +295,7 @@ def main(argv=None) -> int:
     _limit_threads(args.threads)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, np.linalg.LinAlgError) as exc:

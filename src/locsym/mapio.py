@@ -51,8 +51,8 @@ def load_pgm(path, value_range=(0.0, 1.0)) -> np.ndarray:
         width, height, maxval = int(w_tok), int(h_tok), int(max_tok)
     except (StopIteration, ValueError) as exc:
         raise PgmError(f"{path}: malformed header") from exc
-    if width != height:
-        raise PgmError(f"{path}: image must be square, got {width}x{height}")
+    if width != height or width < 1:
+        raise PgmError(f"{path}: image must be square, non-empty, got {width}x{height}")
     if not 0 < maxval <= PGM_MAXVAL:
         raise PgmError(f"{path}: maxval {maxval} outside 1..{PGM_MAXVAL}")
     if magic == b"P2":

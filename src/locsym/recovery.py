@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import WindowSystem, as_signal, standard_basis
+from .core import WindowSystem, as_signal
 from .errors import DegenerateKernelError, NumericalError, ValidationError
 from .gabor import lower_symbol, spectrogram
 from .operator import (LocOperator, Spectrum, _eigen_sum, build_locop,
@@ -202,20 +202,23 @@ def wawd_recover(spectrum: Spectrum, terms: int) -> RecoveryResult:
 def pt_recover(op: LocOperator, basis, phi) -> RecoveryResult:
     """Plane tiling: sum of spectrograms of operator images of a basis.
 
-    ``basis`` is any orthonormal family (rows), full or partial.  With a
-    complete basis the sum equals wn_limit for any basis whatsoever, since
-    B B* = A E^T conj(E) A* = A A*; that case skips forming B.
+    ``basis`` is an orthonormal family (rows), full or partial; None means
+    complete.  Any complete basis gives wn_limit, the lower symbol of
+    B B* = A E^T conj(E) A* = A A*, so that case forms no basis and no B.
     """
     phi = _unit_window(phi)
-    family = np.atleast_2d(np.asarray(basis, dtype=np.complex128))
-    if family.shape[1] != op.size:
-        raise ValidationError("basis length does not match operator size")
-    gram = family @ family.conj().T
-    if np.max(np.abs(gram - np.eye(family.shape[0]))) > 1e-8:
-        raise ValidationError("basis must be orthonormal within 1e-8")
-    images = op.matrix if family.shape[0] == op.size else op.matrix @ family.T
+    images = op.matrix
+    if basis is not None:
+        family = np.atleast_2d(np.asarray(basis, dtype=np.complex128))
+        if family.shape[1] != op.size:
+            raise ValidationError("basis length does not match operator size")
+        gram = family @ family.conj().T
+        if np.max(np.abs(gram - np.eye(family.shape[0]))) > 1e-8:
+            raise ValidationError("basis must be orthonormal within 1e-8")
+        if len(family) < op.size:
+            images = images @ family.T
     out, clip = _psd_symbol(images @ images.conj().T, phi)
-    return RecoveryResult(out, "pt", {"basis_size": family.shape[0],
+    return RecoveryResult(out, "pt", {"basis_size": images.shape[1],
                                       "psd_clip": clip})
 
 
@@ -248,14 +251,13 @@ def recover(method: str, op: LocOperator, phi, *, terms=None, draws: int = 100,
     kept.  Only N < L runs ``eigh``: at N = L, A_N is the Hermitian part
     of A and the tail mass is 0.  ``phi`` is the reconstruction window
     (unused by wawd).  ``draws``, ``noise_var`` and ``seed`` configure wn,
-    ``basis`` is pt's orthonormal family (default the standard basis) and
+    ``basis`` is pt's orthonormal family (None: complete, A A*) and
     ``region`` restricts gp.
     """
     if method == "wn":
         return wn_recover(op, phi, draws, noise_var, seed)
     if method == "pt":
-        return pt_recover(op, standard_basis(op.size) if basis is None else basis,
-                          phi)
+        return pt_recover(op, basis, phi)
     if method == "gp":
         return gp_recover(op, phi, region)
     terms = op.size if terms is None else terms

@@ -9,29 +9,82 @@ bit-identical maps.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
 
-KINDS = (
-    "circle",
-    "gaussians",
-    "star",
-    "lines_circles",
-    "blurred_lines_circles",
-    "tiles",
-    "bitmap",
+
+def is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A finite real number; NaN and infinities are not."""
+    return is_integer(value) or (isinstance(value, numbers.Real)
+                                 and not isinstance(value, bool)
+                                 and math.isfinite(value))
+
+
+def _reals(count: int):
+    return lambda v: (isinstance(v, (list, tuple)) and len(v) == count
+                      and all(map(is_real, v)))
+
+
+def check_fields(obj, checks, what: str) -> None:
+    """Raise ValidationError unless ``obj`` is a dict and each of its keys
+    that ``checks`` lists as a (key, test, what it must be) row passes."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} must be an object, got {obj!r}")
+    for key, valid, must_be in checks:
+        if key in obj and not valid(obj[key]):
+            raise ValidationError(
+                f"{what} {key!r} must be {must_be}, got {obj[key]!r}")
+
+
+# check_fields rows for the params each kind reads; other keys are ignored
+_PARAMS = {
+    "circle": (("radius", is_real, "a number"),
+               ("center", _reals(2), "two numbers")),
+    "gaussians": (("bumps", lambda v: isinstance(v, (list, tuple))
+                   and all(map(_reals(4), v)), "a list of four-number lists"),),
+    "star": (("points", is_integer, "an integer"),
+             ("r_outer", is_real, "a number"),
+             ("r_inner", is_real, "a number"),
+             ("rotation", is_real, "a number")),
+    "lines_circles": (),
+    "blurred_lines_circles": (("sigma", is_real, "a number"),),
+    "tiles": (("count", lambda v: is_integer(v) and v >= 1, "an integer >= 1"),),
+    "bitmap": (("path", lambda v: isinstance(v, str) and v != "",
+                "a non-empty string"),),
+}
+KINDS = tuple(_PARAMS)
+_SPEC_CHECKS = (
+    ("kind", lambda v: v in KINDS, f"one of {KINDS}"),
+    ("size", lambda v: is_integer(v) and v >= 4, "an integer >= 4"),
+    ("value_range", lambda v: _reals(2)(v) and -1 <= v[0] < v[1] <= 1,
+     "two numbers with -1 <= lo < hi <= 1"),
 )
 
 
 @dataclass(frozen=True)
 class SymbolSpec:
+    """A symbol to generate; construction checks the fields against
+    _SPEC_CHECKS and ``params`` against its kind's _PARAMS rows."""
+
     kind: str
     size: int
     params: dict = field(default_factory=dict)
     value_range: tuple = (0.0, 1.0)
+
+    def __post_init__(self):
+        check_fields(vars(self), _SPEC_CHECKS, "symbol")
+        check_fields(self.params, _PARAMS[self.kind], f"{self.kind} params")
+        if self.kind == "bitmap" and "path" not in self.params:
+            raise ValidationError("bitmap symbol needs params['path']")
+        object.__setattr__(self, "value_range", tuple(self.value_range))
 
 
 def circ_conv2(a, b) -> np.ndarray:
@@ -94,7 +147,7 @@ def _gaussians(size, params):
 
 
 def _star(size, params):
-    points = int(params.get("points", 5))
+    points = params.get("points", 5)
     r_outer = params.get("r_outer", 0.40 * size)
     r_inner = params.get("r_inner", 0.16 * size)
     rotation = params.get("rotation", -math.pi / 2)
@@ -128,9 +181,7 @@ def _lines_circles(size, params):
 
 
 def _tiles(size, params):
-    count = int(params.get("count", 4))
-    if count < 1:
-        raise ValidationError("tiles count must be >= 1")
+    count = params.get("count", 4)
     n = np.arange(size)
     row = (n * count) // size
     return (row[:, None] + row[None, :]) % 2 == 0
@@ -144,10 +195,6 @@ def gen_symbol(spec: SymbolSpec) -> np.ndarray:
     continuously.
     """
     lo, hi = spec.value_range
-    if not (-1.0 <= lo < hi <= 1.0):
-        raise ValidationError(f"value range must satisfy -1 <= lo < hi <= 1, got {spec.value_range}")
-    if spec.size < 4:
-        raise ValidationError(f"symbol size must be >= 4, got {spec.size}")
     size, params = spec.size, spec.params
     if spec.kind == "circle":
         mask = _circle(size, params)
@@ -163,19 +210,14 @@ def gen_symbol(spec: SymbolSpec) -> np.ndarray:
         return gaussian_blur(base, params.get("sigma", max(1.5, size / 64)))
     if spec.kind == "tiles":
         return np.where(_tiles(size, params), hi, lo)
-    if spec.kind == "bitmap":
-        from .mapio import load_pgm
+    from .mapio import load_pgm
 
-        path = params.get("path")
-        if not path:
-            raise ValidationError("bitmap symbol needs params['path']")
-        f = load_pgm(path, value_range=(lo, hi))
-        if f.shape[0] != size:
-            raise ValidationError(
-                f"bitmap size {f.shape[0]} does not match requested size {size}"
-            )
-        return f
-    raise ValidationError(f"unknown symbol kind {spec.kind!r}; known: {KINDS}")
+    f = load_pgm(params["path"], value_range=(lo, hi))
+    if f.shape[0] != size:
+        raise ValidationError(
+            f"bitmap size {f.shape[0]} does not match requested size {size}"
+        )
+    return f
 
 
 def compress_positive_frequency(f) -> np.ndarray:

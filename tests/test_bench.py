@@ -3,8 +3,10 @@
 import json
 
 import numpy as np
+import pytest
 
-from locsym import bench_all, report_csv, report_text
+from locsym import ValidationError, bench_all, report_csv, report_text
+from locsym.bench import window_system_from_config
 
 
 def small_config(**overrides):
@@ -78,3 +80,16 @@ def test_numpy_integers_and_integer_ranges_are_valid():
     assert json.loads(json.dumps(numpy_ints["config"])) == plain["config"]
     assert ([row["rel_l1_error"] for row in numpy_ints["rows"]]
             == [row["rel_l1_error"] for row in plain["rows"]])
+
+
+def test_gauss_recon_window_is_the_default():
+    def rows(config):
+        return [{k: v for k, v in row.items() if k != "seconds"}
+                for row in bench_all(config)["rows"]]
+
+    assert rows(small_config(recon_window="gauss")) == rows(small_config())
+
+
+def test_empty_window_list_is_rejected():
+    with pytest.raises(ValidationError, match="empty"):
+        window_system_from_config([], 16)

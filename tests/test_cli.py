@@ -391,3 +391,107 @@ def test_malformed_symbol_params_exit_2(tmp_path, capsys, params):
                "--params", params, "--out", tmp_path / "c.pgm") == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "c.pgm").exists()
+
+
+MISTYPED_SYMBOL_PARAMS = {
+    "circle-radius-str": ("circle", {"radius": "x"}),
+    "circle-center-int": ("circle", {"center": 5}),
+    "star-points-str": ("star", {"points": "x"}),
+    "gaussians-short-bump": ("gaussians", {"bumps": [[1, 2]]}),
+    "blurred-sigma-str": ("blurred_lines_circles", {"sigma": "x"}),
+    "tiles-count-float": ("tiles", {"count": 2.7}),
+    "blurred-sigma-nan": ("blurred_lines_circles", {"sigma": float("nan")}),
+    "star-r_outer-inf": ("star", {"r_outer": float("inf")}),
+}
+
+
+@pytest.mark.parametrize("route", ["gen-symbol", "bench"])
+@pytest.mark.parametrize("kind,params", MISTYPED_SYMBOL_PARAMS.values(),
+                         ids=MISTYPED_SYMBOL_PARAMS.keys())
+def test_mistyped_symbol_params_exit_2(tmp_path, capsys, route, kind, params):
+    if route == "gen-symbol":
+        argv = ("gen-symbol", "--kind", kind, "--size", 16,
+                "--params", json.dumps(params), "--out", tmp_path / "out")
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(bench_config_text(
+            symbols=[{"kind": kind, "params": params}]))
+        argv = ("bench", "--config", cfg, "--out", tmp_path / "out")
+    assert run(*argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+# run in the test's directory, which holds only circle.csv and circle.pgm
+RECOVER_GP = ("recover", "--method", "gp", "--size", 32)
+MISSING_PATH_PROBES = {
+    "recover-symbol": (*RECOVER_GP, "--symbol", "missing.csv", "--out", "x"),
+    "recover-operator": (*RECOVER_GP, "--symbol", "circle.csv",
+                         "--operator", "missing.bin", "--out", "x"),
+    "recover-out-dir": (*RECOVER_GP, "--symbol", "circle.csv",
+                        "--out", "no_dir/x"),
+    "recover-dump-dir": (*RECOVER_GP, "--symbol", "circle.csv",
+                         "--dump-operator", "no_dir/op.bin", "--out", "x"),
+    "deconvolve-est": ("deconvolve", "--est", "missing.csv",
+                       "--kernel", "circle.csv", "--eps", 0.1, "--out", "x"),
+    "deconvolve-kernel": ("deconvolve", "--est", "circle.csv",
+                          "--kernel", "missing.csv", "--eps", 0.1, "--out", "x"),
+    "bench-config": ("bench", "--config", "missing.json", "--out", "x"),
+    "bitmap-path": ("gen-symbol", "--kind", "bitmap", "--size", 32,
+                    "--params", '{"path": "missing.pgm"}', "--out", "x"),
+    "gen-symbol-out-dir": ("gen-symbol", "--kind", "circle", "--size", 32,
+                           "--out", "no_dir/x.pgm"),
+    "impulse-out-dir": ("impulse", "--mode", "measured", "--size", 32,
+                        "--out", "no_dir/x"),
+}
+
+
+@pytest.mark.parametrize("argv", MISSING_PATH_PROBES.values(),
+                         ids=MISSING_PATH_PROBES.keys())
+def test_missing_path_exits_2_before_any_work(tmp_path, circle, capsys,
+                                              monkeypatch, argv):
+    def no_build(*args, **kwargs):
+        raise AssertionError("an operator was built")
+
+    monkeypatch.setattr("locsym.cli.build_locop", no_build)
+    monkeypatch.setattr("locsym.recovery.build_locop", no_build)
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["circle.csv",
+                                                          "circle.pgm"]
+
+
+MALFORMED_RECOVER_OPTIONS = {
+    "window-hermite-str": ("--method", "gp", "--window", "hermite:x"),
+    "window-hermite-negative": ("--method", "gp", "--window", "hermite:-1"),
+    "window-unknown": ("--method", "gp", "--window", "box"),
+    "basis-malformed": ("--method", "pt", "--basis", "hermite:4@1"),
+    "basis-unknown": ("--method", "pt", "--basis", "wavelet"),
+    "region-malformed": ("--method", "gp", "--region", "1,2,3"),
+    "operator-size": ("--method", "gp", "--operator", "op16.bin"),
+}
+
+
+@pytest.mark.parametrize("options", MALFORMED_RECOVER_OPTIONS.values(),
+                         ids=MALFORMED_RECOVER_OPTIONS.keys())
+def test_malformed_recover_option_exits_2(tmp_path, circle, capsys,
+                                          monkeypatch, options):
+    from locsym import LocOperator, save_locop
+
+    monkeypatch.chdir(tmp_path)
+    save_locop(LocOperator(np.eye(16, dtype=complex)), "op16.bin")
+    assert run("recover", "--symbol", circle, "--size", 32, *options,
+               "--out", "x") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_dft_basis_writes_the_standard_basis_estimate(tmp_path, circle):
+    for basis in ("standard", "dft"):
+        assert run("recover", "--method", "pt", "--symbol", circle,
+                   "--size", 32, "--basis", basis,
+                   "--out", tmp_path / basis) == 0
+    assert ((tmp_path / "dft.csv").read_bytes()
+            == (tmp_path / "standard.csv").read_bytes())
+    assert json.loads((tmp_path / "dft.json").read_text())["basis"] == "dft"

@@ -394,6 +394,15 @@ class TestPlaneTiling:
             energy = L * np.sum(np.abs(op.matrix) ** 2)
             assert abs(est.sum() - energy) < 1e-10 * energy
 
+    def test_none_is_any_complete_basis_bit_for_bit(self):
+        L = 32
+        g, _, _, op = gauss_setup(L, seed=39)
+        res = pt_recover(op, None, g)
+        assert res.meta["basis_size"] == L
+        for got in (recover("pt", op, g), pt_recover(op, standard_basis(L), g),
+                    pt_recover(op, dft_basis(L), g)):
+            np.testing.assert_array_equal(got.estimate, res.estimate)
+
     def test_rejects_non_orthonormal_family(self):
         g, _, _, op = gauss_setup(32, seed=14)
         bad = np.stack([g, g])

@@ -108,6 +108,14 @@ class TestPgm:
         with pytest.raises(PgmError):
             load_pgm(path)
 
+    @pytest.mark.parametrize("data", [b"P2\n0 0\n255\n", b"P5\n0 0\n255\n"],
+                             ids=["P2", "P5"])
+    def test_rejects_empty_image(self, tmp_path, data):
+        path = tmp_path / "empty.pgm"
+        path.write_bytes(data)
+        with pytest.raises(PgmError):
+            load_pgm(path)
+
     def test_rejects_oversized_maxval(self, tmp_path):
         path = tmp_path / "big.pgm"
         path.write_bytes(b"P2\n2 2\n70000\n0 0 0 0\n")
