@@ -83,10 +83,16 @@ def _check_config(config) -> None:
 
 def _symbol_specs(entries, size: int) -> list:
     specs = []
-    for entry in entries:
-        check_fields(entry, _SYMBOL_CHECKS, "symbol")
-        spec = SymbolSpec(entry.get("kind"), size, **{
-            key: entry[key] for key in ("params", "value_range") if key in entry})
+    for index, entry in enumerate(entries):
+        try:
+            check_fields(entry, _SYMBOL_CHECKS, "symbol")
+            spec = SymbolSpec(entry.get("kind"), size, **{
+                key: entry[key] for key in ("params", "value_range")
+                if key in entry})
+        except ValidationError as exc:
+            name = entry.get("name") if isinstance(entry, dict) else None
+            where = f"symbols[{index}]" + (f" ({name!r})" if name else "")
+            raise ValidationError(f"{where}: {exc}") from exc
         specs.append((entry.get("name", spec.kind), spec))
     return specs
 

@@ -60,8 +60,10 @@ def _parse_region(spec: str, size: int):
         n0, m0, n1, m1 = (int(v) for v in spec.split(","))
     except ValueError as exc:
         raise ValidationError(f"bad region {spec!r}, expected n0,m0,n1,m1") from exc
-    points = [(n % size, m % size)
-              for n in range(n0, n1 + 1) for m in range(m0, m1 + 1)]
+    # each axis range reduced mod L first: a span of L or more is the whole axis
+    rows, cols = ([(lo + i) % size for i in range(min(hi - lo + 1, size))]
+                  for lo, hi in ((n0, n1), (m0, m1)))
+    points = [(n, m) for n in rows for m in cols]
     if not points:
         raise ValidationError(f"region {spec!r} is empty")
     return points
@@ -201,6 +203,10 @@ def _cmd_deconvolve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    out = os.path.normpath(args.out)
+    if os.path.exists(out) and not os.path.isdir(out):
+        raise ValidationError(f"--out {args.out!r} is not a directory")
+    _check_out_dirs(out)
     with open(args.config) as fh:
         config = _parse_json(fh.read(), f"--config {args.config}")
     report = bench_all(config)

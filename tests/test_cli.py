@@ -384,6 +384,62 @@ def test_malformed_bench_config_exits_2(tmp_path, capsys, text):
     assert not (tmp_path / "report").exists()
 
 
+@pytest.mark.parametrize("out", ["report.txt", "report.txt/", "no_dir/report"],
+                         ids=["existing-file", "existing-file-slash",
+                              "missing-parent"])
+def test_bench_out_is_checked_before_any_work(tmp_path, capsys, monkeypatch,
+                                              out):
+    def no_bench(config):
+        raise AssertionError("bench_all ran")
+
+    monkeypatch.setattr("locsym.cli.bench_all", no_bench)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(bench_config_text())
+    (tmp_path / "report.txt").write_text("")
+    assert run("bench", "--config", "cfg.json", "--out", out) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "no_dir").exists()
+
+
+def test_bad_bench_symbol_is_named_by_index_and_name(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(bench_config_text(symbols=[
+        {"kind": "circle", "name": "s1"}, {"kind": "star", "name": "s2"},
+        {"kind": "star", "name": "s3", "params": {"points": "x"}}]))
+    assert run("bench", "--config", cfg, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith(
+        "error: symbols[2] ('s3'): star params 'points' must be an integer")
+
+
+def test_region_wraps_around_the_torus(tmp_path, circle):
+    assert run("recover", "--method", "gp", "--symbol", circle, "--size", 32,
+               "--region", "30,31,33,33", "--out", tmp_path / "w") == 0
+    est = load_csv(tmp_path / "w.csv")
+    kept = set(zip(*np.nonzero(~np.isnan(est))))
+    assert kept == {(n, m) for n in (30, 31, 0, 1) for m in (31, 0, 1)}
+
+
+def test_huge_region_is_each_grid_point_once(tmp_path, circle, monkeypatch):
+    from locsym import cli
+
+    regions, real_recover = [], cli.recover
+
+    def spy(*args, region=None, **kwargs):
+        regions.append(region)
+        return real_recover(*args, region=region, **kwargs)
+
+    monkeypatch.setattr(cli, "recover", spy)
+    # a 1000 x 1000 span at L = 32; before each axis was reduced mod L this
+    # built a million points
+    assert run("recover", "--method", "gp", "--symbol", circle, "--size", 32,
+               "--region=-500,7,499,1006", "--out", tmp_path / "h") == 0
+    assert run("recover", "--method", "gp", "--symbol", circle, "--size", 32,
+               "--out", tmp_path / "full") == 0
+    assert len(regions[0]) == len(set(regions[0])) == 32 * 32
+    assert ((tmp_path / "h.csv").read_bytes()
+            == (tmp_path / "full.csv").read_bytes())
+
+
 @pytest.mark.parametrize("params", ['{"radius": 4', "[1, 2]"],
                          ids=["not-json", "list"])
 def test_malformed_symbol_params_exit_2(tmp_path, capsys, params):

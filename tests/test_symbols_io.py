@@ -1,7 +1,12 @@
 """Symbol generation and PGM/CSV round trips."""
 
+import io
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from locsym import (PgmError, SymbolSpec, ValidationError, gaussian_blur,
                     gen_symbol, load_csv, load_pgm, save_csv, save_pgm)
@@ -136,7 +141,79 @@ class TestPgm:
         assert load_pgm(path)[1, 2] == 0.0
 
 
+def savetxt_bytes(f):
+    buf = io.BytesIO()
+    np.savetxt(buf, f, fmt="%.17g", delimiter=",")
+    return buf.getvalue()
+
+
+# %g switch points (1e-5, 1e-4, 1e16, 1e17), 17th-digit boundaries (1e-14
+# and 1e98 lie within 5e-18 below their power of ten), the ends of the
+# float64 range and a product that is exactly a rounding tie
+EDGES = [1e-5, 1e-4, 1e16, 1e17, 99999999999999999.0, 2.0 ** -60,
+         9.9999999999999995e-5, 1e-14, 1e98, 1e100, 1e-100, 1e270, 1e-270,
+         1e300, 1e-300, 5e-324, 2.2250738585072014e-308,
+         1.7976931348623157e308, 17592186044416.0625, 0.1, 0.5, 1.0, 0.0]
+csv_values = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(
+        lambda bits: np.array(bits, dtype=np.uint64).view(np.float64).item()),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from(EDGES).flatmap(lambda v: st.sampled_from(
+        [v, -v, math.nextafter(v, 0.0), math.nextafter(v, math.inf)])),
+)
+
+
+@st.composite
+def csv_maps(draw, square=False):
+    """A map cycling through up to 40 drawn values.
+
+    Up to 1400 rows of 1..9 columns, so that a file spans several
+    4096-value formatting blocks and ends on a partial one; or square, up
+    to 70 x 70.
+    """
+    if square:
+        nrow = ncol = draw(st.integers(1, 70))
+    else:
+        nrow, ncol = draw(st.integers(1, 1400)), draw(st.integers(1, 9))
+    values = draw(st.lists(csv_values, min_size=1, max_size=40))
+    return np.resize(np.array(values, dtype=np.float64), (nrow, ncol))
+
+
 class TestCsv:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(csv_maps())
+    def test_writes_the_bytes_of_savetxt(self, tmp_path, f):
+        path = tmp_path / "map.csv"
+        save_csv(f, path)
+        assert path.read_bytes() == savetxt_bytes(f)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(csv_maps(square=True))
+    def test_reads_back_bit_for_bit(self, tmp_path, f):
+        path = tmp_path / "map.csv"
+        save_csv(f, path)
+        back = load_csv(path)
+        nan = np.isnan(f)
+        np.testing.assert_array_equal(np.isnan(back), nan)
+        np.testing.assert_array_equal(back[~nan].view(np.uint64),
+                                      f[~nan].view(np.uint64))
+
+    def test_fallback_values_write_the_bytes_of_savetxt(self, tmp_path):
+        # each value is non-finite, outside 1e-270..1e270, a rounding tie or
+        # rounds up to a power of ten
+        ties = np.array([17592186044416.0625, 0.0625 * (2 ** 48 + 3)])
+        values = np.concatenate([
+            [np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308,
+             1e-300, 1e300, -1.7976931348623157e308, 3e270, 9e-271,
+             1e-14, -1e98, 1e-243, 1e220], ties, -ties])
+        f = values.reshape(3, 6)
+        path = tmp_path / "fallback.csv"
+        save_csv(f, path)
+        assert path.read_bytes() == savetxt_bytes(f)
+        assert b"17592186044416.062," in path.read_bytes()
+
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(2)
         f = rng.standard_normal((24, 24)) * 10.0 ** rng.integers(-9, 9, (24, 24))
