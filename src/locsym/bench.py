@@ -15,15 +15,15 @@ import time
 
 import numpy as np
 
-from .core import WindowSystem, hermite_system, make_gaussian_window
+from .core import (LENGTH_RULE, WindowSystem, hermite_system, is_integer,
+                   is_length, make_gaussian_window)
 from .errors import ValidationError
 from .metrics import rel_l1_error
 from .operator import build_locop
-from .recovery import recover
-from .symbols import SymbolSpec, check_fields, gen_symbol, is_integer, is_real
+from .recovery import METHODS, SQUARED_TARGET, recover
+from .symbols import SymbolSpec, check_fields, gen_symbol, is_real
 
 SCHEMA_VERSION = 1
-METHODS = ("wn", "was", "wawd", "pt", "gp")
 
 
 def parse_window(kind: str, size: int) -> np.ndarray:
@@ -52,9 +52,16 @@ def window_system_from_config(spec, size: int) -> WindowSystem:
     )
 
 
+def resolve_windows(spec, recon_spec, size: int):
+    """(analysis windows, reconstruction window); None: the first analysis one."""
+    windows = window_system_from_config(spec, size)
+    phi = windows.windows[0] if recon_spec is None else parse_window(recon_spec, size)
+    return windows, phi
+
+
 # (key, test, what the value must be) for each top-level config key
 _CONFIG_CHECKS = (
-    ("size", is_integer, "an integer"),
+    ("size", is_length, LENGTH_RULE),
     ("noise_draws", is_integer, "an integer"),
     ("seed", is_integer, "an integer"),
     ("eig_terms", lambda v: v is None or is_integer(v), "an integer or null"),
@@ -101,7 +108,7 @@ def _compare(method: str, estimate: np.ndarray, truth: np.ndarray,
              signed: bool, size: int):
     """Return (error, flags) for one method row."""
     flags = {}
-    if method in ("wn", "pt"):
+    if method in SQUARED_TARGET:
         if signed:
             flags["squared_target"] = True
             return rel_l1_error(estimate, truth ** 2), flags
@@ -119,12 +126,13 @@ def bench_all(config: dict) -> dict:
     """Run every method on every configured symbol; returns the report.
 
     Deterministic for a fixed seed.  The config is checked before any work
-    (ValidationError): ``size`` (required), ``noise_draws``, ``seed`` and
-    ``eig_terms`` (null: L) are integers, ``sigma2`` a real number,
-    ``window`` a string or a non-empty list of strings, ``recon_window`` a
-    string or null, and ``symbols`` a list of objects, each with an
-    optional string ``name`` and the ``kind``, ``params`` and
-    ``value_range`` that ``SymbolSpec`` checks.
+    (ValidationError): ``size`` (required) is an integer in
+    4..MAX_LENGTH, ``noise_draws``, ``seed`` and ``eig_terms`` (null: L)
+    are integers, ``sigma2`` a real number, ``window`` a string or a
+    non-empty list of strings, ``recon_window`` a string or null, and
+    ``symbols`` a list of objects, each with an optional string ``name``
+    and the ``kind``, ``params`` and ``value_range`` that ``SymbolSpec``
+    checks.
     """
     _check_config(config)
     size = int(config["size"])
@@ -136,12 +144,7 @@ def bench_all(config: dict) -> dict:
     terms = config.get("eig_terms")
     terms = size if terms is None else int(terms)
     specs = _symbol_specs(config.get("symbols", []), size)
-
-    windows = window_system_from_config(window_spec, size)
-    if recon_spec is None:
-        phi = windows.windows[0]
-    else:
-        phi = parse_window(recon_spec, size)
+    windows, phi = resolve_windows(window_spec, recon_spec, size)
 
     rows = []
     for name, spec in specs:
@@ -177,15 +180,14 @@ def bench_all(config: dict) -> dict:
 
 def report_text(report: dict) -> str:
     """Aligned text table, percentages with one decimal."""
-    symbols = list(dict.fromkeys(row["symbol"] for row in report["rows"]))
+    percent = {}  # the first row of each (symbol, method) cell
+    for row in report["rows"]:
+        percent.setdefault((row["symbol"], row["method"]), row["percent"])
+    symbols = dict.fromkeys(name for name, _ in percent)
     lines = ["symbol                 " + "".join(f"{m.upper():>8}" for m in METHODS)]
     for name in symbols:
-        cells = []
-        for method in METHODS:
-            row = next(r for r in report["rows"]
-                       if r["symbol"] == name and r["method"] == method)
-            cells.append(f"{row['percent']:>7.1f}%")
-        lines.append(f"{name:<22} " + "".join(cells))
+        cells = "".join(f"{percent[name, method]:>7.1f}%" for method in METHODS)
+        lines.append(f"{name:<22} " + cells)
     return "\n".join(lines) + "\n"
 
 

@@ -18,13 +18,14 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .bench import (SCHEMA_VERSION, bench_all, parse_window, report_csv,
-                    report_text, window_system_from_config)
+from .bench import (SCHEMA_VERSION, bench_all, report_csv, report_text,
+                    resolve_windows)
 from .core import hermite_system
 from .errors import NumericalError, ValidationError
 from .mapio import load_map, save_csv, save_pgm
 from .operator import build_locop, load_locop, save_locop
-from .recovery import deconvolve, impulse_kernel, recover
+from .recovery import (IMPULSE_ESTIMATORS, METHODS, SQUARED_TARGET, deconvolve,
+                       impulse_kernel, recover)
 from .symbols import KINDS, SymbolSpec, compress_positive_frequency, gen_symbol
 
 
@@ -122,9 +123,7 @@ def _cmd_recover(args) -> int:
         )
     if args.compress_positive_frequency:
         symbol = compress_positive_frequency(symbol)
-    windows = window_system_from_config(args.window.split(","), args.size)
-    phi = (parse_window(args.recon_window, args.size)
-           if args.recon_window else windows.windows[0])
+    windows, phi = resolve_windows(args.window.split(","), args.recon_window, args.size)
 
     tic = time.perf_counter()
     if args.operator:
@@ -162,7 +161,7 @@ def _cmd_recover(args) -> int:
     meta["seconds"] = time.perf_counter() - tic
 
     out_range = value_range
-    if args.method in ("wn", "pt"):
+    if args.method in SQUARED_TARGET:
         out_range = (0.0, max(1.0, value_range[1] ** 2))
     _write_outputs(result.estimate, args.out, meta, out_range)
     return 0
@@ -170,15 +169,14 @@ def _cmd_recover(args) -> int:
 
 def _cmd_impulse(args) -> int:
     _check_out_dirs(args.out)
-    windows = window_system_from_config(args.window.split(","), args.size)
-    phi = (parse_window(args.recon_window, args.size)
-           if args.recon_window else windows.windows[0])
+    windows, phi = resolve_windows(args.window.split(","), args.recon_window, args.size)
     kernel = impulse_kernel(windows, phi, mode=args.mode,
                             estimator=args.estimator)
     sidecar = {
         "schema_version": SCHEMA_VERSION,
         "mode": args.mode,
-        "estimator": args.estimator,
+        # the analytic kernel runs no estimator
+        "estimator": args.estimator if args.mode == "measured" else None,
         "window": args.window,
         "size": args.size,
         "kernel_mass": float(kernel.sum()),
@@ -244,8 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen_symbol)
 
     p = sub.add_parser("recover", help="build the operator and run a method")
-    p.add_argument("--method", required=True,
-                   choices=["wn", "was", "wawd", "pt", "gp"])
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--symbol", required=True, help="symbol file (PGM or CSV)")
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--window", default="gauss",
@@ -271,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("impulse", help="impulse-response kernel of the pipeline")
     p.add_argument("--mode", required=True, choices=["analytic", "measured"])
-    p.add_argument("--estimator", default="gp", choices=["gp", "was"])
+    p.add_argument("--estimator", default="gp", choices=IMPULSE_ESTIMATORS)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--window", default="gauss")
     p.add_argument("--recon-window", dest="recon_window")

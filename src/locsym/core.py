@@ -8,6 +8,7 @@ lattice point z = (n, m) combines a time shift n with a frequency bin m.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,26 @@ from .errors import ValidationError
 
 UNIT_NORM_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-12
+# one dense complex L x L matrix at this L takes 256 MiB
+MAX_LENGTH = 4096
+LENGTH_RULE = f"an integer in 4..{MAX_LENGTH}"
+
+
+def is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_length(value) -> bool:
+    """The one rule for a grid length L: an integer in 4..MAX_LENGTH."""
+    return is_integer(value) and 4 <= value <= MAX_LENGTH
+
+
+def check_length(length, what: str = "length") -> None:
+    """Raise ValidationError unless ``length`` passes :func:`is_length`;
+    callers check before they allocate anything of size L."""
+    if not is_length(length):
+        raise ValidationError(
+            f"{what} must be {LENGTH_RULE}, got {length!r}")
 
 
 def as_signal(x) -> np.ndarray:
@@ -35,8 +56,7 @@ def make_gaussian_window(length: int) -> np.ndarray:
     L >= 16 the truncation error of using only the r = -1, 0, 1 images is
     far below double precision.
     """
-    if length < 4:
-        raise ValidationError(f"window length must be >= 4, got {length}")
+    check_length(length, "window length")
     j = np.arange(length, dtype=np.float64)
     g = np.zeros(length)
     for r in (-1, 0, 1):
@@ -68,8 +88,7 @@ def hermite_system(length: int, count: int, center=(0, 0)) -> np.ndarray:
     equally orthonormal completions.  The k = 0 member is the sampled
     Gaussian, so the unshifted family sits at the phase-plane origin.
     """
-    if length < 4:
-        raise ValidationError(f"length must be >= 4, got {length}")
+    check_length(length)
     if not 1 <= count <= length:
         raise ValidationError(
             f"count must be in 1..{length}, got {count}"

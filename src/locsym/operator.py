@@ -30,13 +30,24 @@ _DUMP_MAGIC = b"LOCOP1"
 class LocOperator:
     """Dense localization operator with provenance.
 
-    ``windows`` and ``symbol_hash`` record how the matrix was built; they
-    are informational and may be absent for operators loaded from disk.
+    ``matrix`` must be a square 2-d array with finite entries
+    (ValidationError otherwise).  ``windows`` and ``symbol_hash`` record
+    how the matrix was built; they are informational and may be absent for
+    operators loaded from disk.
     """
 
     matrix: np.ndarray
     windows: Optional[WindowSystem] = None
     symbol_hash: str = ""
+
+    def __post_init__(self):
+        matrix = np.asarray(self.matrix)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise ValidationError(
+                f"operator matrix must be square, got shape {matrix.shape}")
+        if not np.all(np.isfinite(matrix)):
+            raise ValidationError("operator has non-finite entries")
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def size(self) -> int:
@@ -177,7 +188,7 @@ def save_locop(op: LocOperator, path):
 
 
 def load_locop(path) -> LocOperator:
-    """Read a matrix dumped by :func:`save_locop`; it must be finite."""
+    """Read a matrix dumped by :func:`save_locop`; ``LocOperator`` checks it."""
     with open(path, "rb") as fh:
         header = fh.read(16)
         if len(header) != 16 or header[:6] != _DUMP_MAGIC:
@@ -186,6 +197,7 @@ def load_locop(path) -> LocOperator:
         if os.fstat(fh.fileno()).st_size != 16 + 16 * length * length:
             raise ValidationError(f"{path}: file size does not match L = {length}")
         data = np.frombuffer(fh.read(), dtype="<c16")
-    if not np.all(np.isfinite(data)):
-        raise ValidationError(f"{path}: operator has non-finite entries")
-    return LocOperator(data.reshape(length, length).astype(np.complex128))
+    try:
+        return LocOperator(data.reshape(length, length).astype(np.complex128))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc

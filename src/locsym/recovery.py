@@ -43,6 +43,9 @@ from .wigner import weyl_symbol
 
 _NOISE_BATCH = 128
 DEGENERACY_GAP = 1e-8
+METHODS = ("wn", "was", "wawd", "pt", "gp")
+SQUARED_TARGET = ("wn", "pt")  # these estimate f**2, the rest f
+IMPULSE_ESTIMATORS = ("gp", "was")  # what a measured impulse kernel runs
 
 
 @dataclass(frozen=True)
@@ -245,7 +248,7 @@ def gp_recover(op: LocOperator, phi, region=None) -> RecoveryResult:
 def recover(method: str, op: LocOperator, phi, *, terms=None, draws: int = 100,
             noise_var: float = 1.0, seed: int = 0, basis=None,
             region=None) -> RecoveryResult:
-    """Run one of the five estimators on ``op``.
+    """Run one of the estimators in METHODS on ``op``.
 
     ``terms`` (was, wawd; default L) is the number N of leading eigenpairs
     kept.  Only N < L runs ``eigh``: at N = L, A_N is the Hermitian part
@@ -254,6 +257,8 @@ def recover(method: str, op: LocOperator, phi, *, terms=None, draws: int = 100,
     ``basis`` is pt's orthonormal family (None: complete, A A*) and
     ``region`` restricts gp.
     """
+    if method not in METHODS:
+        raise ValidationError(f"unknown method {method!r}")
     if method == "wn":
         return wn_recover(op, phi, draws, noise_var, seed)
     if method == "pt":
@@ -263,9 +268,7 @@ def recover(method: str, op: LocOperator, phi, *, terms=None, draws: int = 100,
     terms = op.size if terms is None else terms
     if method == "was":
         return was_recover(eigendecompose(op), WindowSystem.single(phi), terms)
-    if method == "wawd":
-        return wawd_recover(eigendecompose(op), terms)
-    raise ValidationError(f"unknown method {method!r}")
+    return wawd_recover(eigendecompose(op), terms)
 
 
 def impulse_kernel(windows: WindowSystem, phi, mode: str = "analytic",
@@ -286,7 +289,7 @@ def impulse_kernel(windows: WindowSystem, phi, mode: str = "analytic",
         return out
     if mode != "measured":
         raise ValidationError(f"unknown impulse mode {mode!r}")
-    if estimator not in ("gp", "was"):
+    if estimator not in IMPULSE_ESTIMATORS:
         raise ValidationError(f"unsupported impulse estimator {estimator!r}")
     delta = np.zeros((length, length))
     delta[0, 0] = 1.0

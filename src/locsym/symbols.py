@@ -14,11 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import LENGTH_RULE, is_integer, is_length
 from .errors import ValidationError
-
-
-def is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def is_real(value) -> bool:
@@ -63,7 +60,7 @@ _PARAMS = {
 KINDS = tuple(_PARAMS)
 _SPEC_CHECKS = (
     ("kind", lambda v: v in KINDS, f"one of {KINDS}"),
-    ("size", lambda v: is_integer(v) and v >= 4, "an integer >= 4"),
+    ("size", is_length, LENGTH_RULE),
     ("value_range", lambda v: _reals(2)(v) and -1 <= v[0] < v[1] <= 1,
      "two numbers with -1 <= lo < hi <= 1"),
 )

@@ -210,9 +210,12 @@ def test_compress_positive_frequency_flag(tmp_path, circle):
 def test_non_finite_operator_dump_exits_2(tmp_path, circle, method):
     from locsym import LocOperator, save_locop
 
-    matrix = np.eye(32, dtype=complex)
-    matrix[3, 4] = np.nan
-    save_locop(LocOperator(matrix), tmp_path / "nan.bin")
+    path = tmp_path / "nan.bin"
+    save_locop(LocOperator(np.eye(32, dtype=complex)), path)
+    blob = bytearray(path.read_bytes())
+    offset = 16 + 16 * (3 * 32 + 4)  # real part of entry [3, 4]
+    blob[offset:offset + 8] = np.array(np.nan, dtype="<f8").tobytes()
+    path.write_bytes(bytes(blob))
     assert run("recover", "--method", method, "--symbol", circle,
                "--size", 32, "--operator", tmp_path / "nan.bin",
                "--K", 4, "--out", tmp_path / "x") == 2
@@ -551,3 +554,75 @@ def test_dft_basis_writes_the_standard_basis_estimate(tmp_path, circle):
     assert ((tmp_path / "dft.csv").read_bytes()
             == (tmp_path / "standard.csv").read_bytes())
     assert json.loads((tmp_path / "dft.json").read_text())["basis"] == "dft"
+
+
+def _choices(parser, command, option):
+    """The choices argparse holds for ``option`` of subcommand ``command``."""
+    sub = next(a for a in parser._actions if a.dest == "command")
+    return next(a.choices for a in sub.choices[command]._actions
+                if option in a.option_strings)
+
+
+def test_method_and_estimator_choices_are_the_recovery_tables():
+    from locsym import bench, recovery
+    from locsym.cli import build_parser
+
+    parser = build_parser()
+    assert tuple(_choices(parser, "recover", "--method")) == recovery.METHODS
+    assert bench.METHODS is recovery.METHODS
+    assert (tuple(_choices(parser, "impulse", "--estimator"))
+            == recovery.IMPULSE_ESTIMATORS)
+
+
+@pytest.mark.parametrize("command", [
+    ("recover", "--method", "gp", "--symbol", "circle.csv"),
+    ("impulse", "--mode", "analytic"),
+], ids=["recover", "impulse"])
+def test_empty_recon_window_exits_2(tmp_path, circle, capsys, monkeypatch,
+                                    command):
+    monkeypatch.chdir(tmp_path)
+    assert run(*command, "--size", 32, "--recon-window", "",
+               "--out", "x") == 2
+    assert "unknown window kind ''" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_analytic_impulse_records_no_estimator(tmp_path):
+    for mode in ("analytic", "measured"):
+        assert run("impulse", "--mode", mode, "--estimator", "was",
+                   "--size", 16, "--out", tmp_path / mode) == 0
+    analytic = json.loads((tmp_path / "analytic.json").read_text())
+    measured = json.loads((tmp_path / "measured.json").read_text())
+    assert analytic["estimator"] is None
+    assert measured["estimator"] == "was"
+
+
+@pytest.mark.parametrize("size", ["max+1", 100000])
+@pytest.mark.parametrize("command", ["gen-symbol", "impulse", "bench"])
+def test_length_above_max_exits_2_before_allocating(tmp_path, capsys,
+                                                    monkeypatch, command, size):
+    import tracemalloc
+
+    from locsym.core import MAX_LENGTH
+
+    size = MAX_LENGTH + 1 if size == "max+1" else size
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bench.json").write_text(json.dumps(
+        {"size": size, "symbols": [{"kind": "circle"}]}))
+    argv = {
+        "gen-symbol": ("gen-symbol", "--kind", "circle", "--size", size,
+                       "--out", "x.pgm"),
+        "impulse": ("impulse", "--mode", "measured", "--size", size,
+                    "--out", "x"),
+        "bench": ("bench", "--config", "bench.json", "--out", "report"),
+    }[command]
+    tracemalloc.start()
+    try:
+        code = run(*argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert f"4..{MAX_LENGTH}" in capsys.readouterr().err
+    assert peak < 2 ** 21
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bench.json"]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from locsym import (ValidationError, WindowSystem, hermite_system,
                     make_gaussian_window, spectrogram, tf_shift)
+from locsym.core import MAX_LENGTH, is_length
 
 
 def random_signal(rng, length):
@@ -48,6 +49,21 @@ class TestGaussianWindow:
     def test_too_small_rejected(self):
         with pytest.raises(ValidationError):
             make_gaussian_window(3)
+
+
+class TestLengthRule:
+    def test_bounds(self):
+        assert [is_length(v) for v in (3, 4, MAX_LENGTH, MAX_LENGTH + 1)] == [
+            False, True, True, False]
+        assert is_length(np.int64(64))
+        assert not any(map(is_length, (True, 64.0, "64", None)))
+
+    @pytest.mark.parametrize("length", [3, MAX_LENGTH + 1, 10 ** 5, 64.0])
+    def test_window_builders_share_it(self, length):
+        with pytest.raises(ValidationError, match=f"4..{MAX_LENGTH}"):
+            make_gaussian_window(length)
+        with pytest.raises(ValidationError, match=f"4..{MAX_LENGTH}"):
+            hermite_system(length, 1)
 
 
 class TestTfShift:

@@ -79,6 +79,33 @@ class TestBuild:
             build_locop(np.ones((32, 32)), ws)
 
 
+class TestOperatorMatrix:
+    @pytest.mark.parametrize("matrix", [np.ones((8, 6)), np.ones(8),
+                                        np.ones((2, 2, 2)), np.ones(())],
+                             ids=["8x6", "1-d", "3-d", "0-d"])
+    def test_rejects_non_square(self, matrix):
+        with pytest.raises(ValidationError, match="square"):
+            LocOperator(matrix)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_rejects_non_finite(self, bad):
+        matrix = np.eye(8, dtype=complex)
+        matrix[2, 5] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            LocOperator(matrix)
+        with pytest.raises(ValidationError):
+            LocOperator(np.full((8, 8), np.nan))
+
+    def test_dump_error_names_the_path(self, tmp_path):
+        path = tmp_path / "op.bin"
+        save_locop(LocOperator(np.eye(8, dtype=complex)), path)
+        blob = bytearray(path.read_bytes())
+        blob[16:24] = np.array(np.nan, dtype="<f8").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValidationError, match="op.bin: operator has non-finite"):
+            load_locop(path)
+
+
 class TestApply:
     def test_identity_operator(self, gauss64):
         _, ws = gauss64
@@ -259,9 +286,11 @@ class TestDump:
 
     def test_rejects_non_finite_entries(self, gauss64, tmp_path):
         _, ws = gauss64
-        matrix = build_locop(np.ones((64, 64)), ws).matrix.copy()
-        matrix[5, 7] = complex(np.inf, 0.0)
         path = tmp_path / "op.bin"
-        save_locop(LocOperator(matrix), path)
+        save_locop(build_locop(np.ones((64, 64)), ws), path)
+        blob = bytearray(path.read_bytes())
+        offset = 16 + 16 * (5 * 64 + 7)  # real part of entry [5, 7]
+        blob[offset:offset + 8] = np.array(np.inf, dtype="<f8").tobytes()
+        path.write_bytes(bytes(blob))
         with pytest.raises(ValidationError):
             load_locop(path)

@@ -228,6 +228,13 @@ class TestRecoverDispatch:
         with pytest.raises(ValidationError, match="unknown method"):
             recover("nope", op, g)
 
+    def test_every_roster_name_dispatches(self):
+        g, _, _, op = gauss_setup(16, seed=35)
+        for method in locsym.recovery.METHODS:
+            result = recover(method, op, g, draws=3)
+            assert result.method == method
+            assert result.estimate.shape == (16, 16)
+
 
 class TestSpectrumOnDemand:
     @pytest.mark.parametrize("L", [64, 65])
