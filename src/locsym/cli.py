@@ -9,11 +9,13 @@ embedding the full resolved configuration, so every run is self-describing.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -29,14 +31,39 @@ from .recovery import (IMPULSE_ESTIMATORS, METHODS, SQUARED_TARGET, deconvolve,
 from .symbols import KINDS, SymbolSpec, compress_positive_frequency, gen_symbol
 
 
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None.
+
+    numpy wheels ship OpenBLAS in ``numpy.libs`` with prefixed symbols;
+    ctypes reaches the copy numpy has already loaded.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
 def _limit_threads(threads: int):
+    """Cap BLAS threads through threadpoolctl or, without it, numpy's OpenBLAS."""
     if threads <= 0:
         return
     try:
         import threadpoolctl
     except ImportError:
-        print(f"warning: --threads {threads} ignored: threadpoolctl is not "
-              "installed", file=sys.stderr)
+        calls = _openblas_threads()
+        if calls is None:
+            print(f"warning: --threads {threads} ignored: neither threadpoolctl "
+                  "nor numpy's bundled OpenBLAS was found", file=sys.stderr)
+        else:
+            calls[1](threads)
         return
     threadpoolctl.threadpool_limits(threads)
 

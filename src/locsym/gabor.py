@@ -3,6 +3,13 @@
 The lattice is the full grid (hop 1, L frequency bins), which makes the
 frame tight: synthesis carries a 1/L factor so analysis-then-synthesis is
 exactly the identity for a unit-norm window.
+
+The lower symbol works on the diagonals M[s, s - d] of a matrix.  The
+estimators symbolize Hermitian matrices, whose diagonal -d is the
+conjugate mirror of diagonal d, so the kernel gathers and transforms only
+the half lattice d = 0..L//2 and finishes with a real inverse FFT over d.
+A non-Hermitian M is split as H + iK into Hermitian H and K, each
+symbolized that way.
 """
 
 from __future__ import annotations
@@ -24,31 +31,88 @@ def _roll_table(length: int) -> np.ndarray:
     return idx
 
 
-def _from_diagonals(diag: np.ndarray) -> np.ndarray:
-    """The matrix M with M[s, (s - d) mod L] = diag[d, s]."""
-    out = np.empty_like(diag)
-    out[np.arange(diag.shape[0]), _roll_table(diag.shape[0])] = diag
-    return out
+def _half_lattice(length: int) -> np.ndarray:
+    """idx[d, s] = (s - d) mod L for the diagonals d = 0..L//2.
+
+    A Hermitian matrix is fixed by these diagonals: M[s - d, s] is the
+    conjugate of M[s, s - d], and the lags above L//2 are those of the
+    mirror.  A view of ``_roll_table``, so it costs no memory of its own.
+    """
+    return _roll_table(length)[:length // 2 + 1]
 
 
-def _lag_product(g: np.ndarray) -> np.ndarray:
-    """Q[d, u] = g[u] conj(g[(u - d) mod L])."""
-    return g[None, :] * g[_roll_table(g.size)].conj()
+def _half_lag_spectrum(g: np.ndarray) -> np.ndarray:
+    """FFT over u of the lag product g[u] conj(g[(u - d) mod L]), d = 0..L//2."""
+    lag = g[_half_lattice(g.size)]
+    np.conjugate(lag, out=lag)
+    lag *= g
+    return np.fft.fft(lag, axis=1)
+
+
+def _half_diagonals(matrix: np.ndarray, phi: np.ndarray):
+    """Diagonals d = 0..L//2 of M and of M*, and phi's lag spectrum.
+
+    Row d of the first is M[s, s - d]; row d of the second, the mirror, is
+    conj(M[s - d, s]).
+    """
+    length = phi.size
+    if matrix.shape != (length, length):
+        raise ValidationError(f"matrix {matrix.shape} != window length {length}")
+    idx = _half_lattice(length)
+    s = np.arange(length)
+    mirror = matrix[idx, s]
+    np.conjugate(mirror, out=mirror)
+    return matrix[s, idx], mirror, _half_lag_spectrum(phi)
+
+
+def _hermitian_rows(diag: np.ndarray, mirror: np.ndarray) -> np.ndarray:
+    """Half-lattice diagonals of the Hermitian part (M + M*)/2."""
+    rows = diag + mirror
+    rows *= 0.5
+    return rows
+
+
+def _symbol_of_half(rows: np.ndarray, lag_hat: np.ndarray) -> np.ndarray:
+    """Lower symbol of the Hermitian H with H[s, s - d] = rows[d, s], d <= L/2.
+
+    Row d of the correlation C[d, n] = sum_s rows[d, s + n] conj(lag[d, s])
+    satisfies C[-d] = conj(C[d]), so the FFT over d is real and one
+    ``irfft`` over the half lattice gives it.  The FFT over s below
+    yields L conj(C[d]), the input that ``irfft`` needs.
+    """
+    spec = np.fft.fft(rows, axis=1)
+    np.conjugate(spec, out=spec)
+    spec *= lag_hat
+    return np.fft.irfft(np.fft.fft(spec, axis=1), n=rows.shape[1], axis=0).T
+
+
+def hermitian_symbol(matrix: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Re <M pi(n, m) phi, pi(n, m) phi> at every lattice point, O(L^2 log L).
+
+    This is the (real) lower symbol of the Hermitian part (M + M*)/2, so
+    only its diagonals d = 0..L//2 are gathered and transformed: half the
+    FFT work of the complex :func:`lower_symbol`, whose real part it equals
+    bit for bit.
+    """
+    diag, mirror, lag_hat = _half_diagonals(matrix, phi)
+    return _symbol_of_half(_hermitian_rows(diag, mirror), lag_hat)
 
 
 def lower_symbol(matrix: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """<M pi(n, m) phi, pi(n, m) phi> at every lattice point, O(L^2 log L).
 
-    Each diagonal M[s, s-d] is cross-correlated over s with the lag product
-    of phi, then an FFT runs over d.  Complex unless M is Hermitian.
+    M = H + iK with H = (M + M*)/2 and K = (M - M*)/2i both Hermitian, so
+    the real part is the symbol of H, computed exactly as
+    :func:`hermitian_symbol` does, and the imaginary part that of K.  Both
+    share one pair of half-lattice gathers and one lag spectrum.
     """
-    length = phi.size
-    if matrix.shape != (length, length):
-        raise ValidationError(f"matrix {matrix.shape} != window length {length}")
-    diag = matrix[np.arange(length), _roll_table(length)]
-    corr_hat = (np.fft.fft(diag, axis=1)
-                * np.fft.fft(_lag_product(phi), axis=1).conj())
-    return np.fft.fft(np.fft.ifft(corr_hat, axis=1), axis=0).T
+    diag, mirror, lag_hat = _half_diagonals(matrix, phi)
+    real = _symbol_of_half(_hermitian_rows(diag, mirror), lag_hat)
+    out = real.astype(np.complex128)
+    anti = np.subtract(diag, mirror, dtype=np.complex128)
+    anti *= -0.5j
+    out.imag = _symbol_of_half(anti, lag_hat)
+    return out
 
 
 def _check_pair(psi: np.ndarray, g: np.ndarray):

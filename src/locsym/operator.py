@@ -3,8 +3,11 @@
 A symbol f on the phase plane and a window system S define the dense L x L
 matrix A = (1/L) sum_z f[z] sum_k s_k (pi(z) g_k)(pi(z) g_k)*.  The 1/L
 normalization makes f = 1 give the identity.  Each diagonal of A is a
-circular convolution, so assembly costs O(L^2 log L) per window.  Dense
-storage is deliberate: truncated spectral estimates need the full spectrum.
+circular convolution, so assembly costs O(L^2 log L) per window.  A real
+symbol gives a Hermitian A, so only the diagonals d = 0..L//2 are computed
+and the rest are their conjugate mirror; a complex symbol is assembled as
+A(Re f) + i A(Im f).  Dense storage is deliberate: truncated spectral
+estimates need the full spectrum.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .core import WindowSystem, as_signal
 from .errors import NotSelfAdjointError, ValidationError
-from .gabor import _from_diagonals, _lag_product
+from .gabor import _half_lag_spectrum, _half_lattice
 
 HERMITIAN_REJECT_TOL = 1e-6
 
@@ -114,12 +117,36 @@ def _eigen_sum(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return (vectors.T * values) @ vectors.conj()
 
 
+def _hermitian_locop(f: np.ndarray, windows: WindowSystem) -> np.ndarray:
+    """A for a real symbol, from its diagonals A[s, s - d], d = 0..L//2.
+
+    Diagonal d is the circular convolution over time shift n of
+    ifft_m f[n, d] with the lag product g[u] conj(g[u - d]), summed over
+    the windows; ``ihfft`` gives ifft_m of a real f at d = 0..L//2 only.
+    The main diagonal is real and, at even L, the second half of diagonal
+    L/2 mirrors its first half, so the result is Hermitian bit for bit.
+    """
+    length = f.shape[0]
+    rows_hat = np.fft.fft(np.fft.ihfft(f, axis=1), axis=0).T
+    diag = np.zeros(rows_hat.shape, dtype=np.complex128)
+    for w, g in windows:
+        diag += w * np.fft.ifft(rows_hat * _half_lag_spectrum(g), axis=1)
+    diag[0] = diag[0].real
+    if length % 2 == 0:
+        diag[-1, length // 2:] = diag[-1, :length // 2].conj()
+    idx = _half_lattice(length)
+    s = np.arange(length)
+    out = np.empty((length, length), dtype=np.complex128)
+    out[idx, s] = diag.conj()
+    out[s, idx] = diag
+    return out
+
+
 def build_locop(symbol, windows: WindowSystem) -> LocOperator:
     """Assemble the localization operator for ``symbol`` over ``windows``.
 
-    Diagonal A[s, s-d] is the circular convolution over time shift n of
-    ifft_m f[n, d] with g[u] conj(g[u-d]): O(L^2 log L) per window.
-    Hermitian (up to roundoff) whenever the symbol is real.
+    O(L^2 log L) per window.  A real symbol gives an exactly Hermitian
+    matrix; a complex one gives A(Re f) + 1j * A(Im f).
     """
     f = np.asarray(symbol)
     if f.ndim != 2 or f.shape[0] != f.shape[1]:
@@ -131,13 +158,11 @@ def build_locop(symbol, windows: WindowSystem) -> LocOperator:
         raise ValidationError(
             f"window length {windows.length} != symbol size {length}"
         )
-    rows_hat = np.fft.fft(np.fft.ifft(f, axis=1), axis=0).T
-    diag = np.zeros((length, length), dtype=np.complex128)
-    for w, g in windows:
-        diag += w * np.fft.ifft(rows_hat * np.fft.fft(_lag_product(g), axis=1),
-                                axis=1)
+    matrix = _hermitian_locop(f.real, windows)
+    if np.iscomplexobj(f):
+        matrix = matrix + 1j * _hermitian_locop(f.imag, windows)
     digest = hashlib.sha256(np.ascontiguousarray(f).tobytes()).hexdigest()[:16]
-    return LocOperator(_from_diagonals(diag), windows, digest)
+    return LocOperator(matrix, windows, digest)
 
 
 def apply(op: LocOperator, psi) -> np.ndarray:
@@ -155,13 +180,14 @@ def hermitian_part(op: LocOperator) -> np.ndarray:
     HERMITIAN_REJECT_TOL.
     """
     h = op.matrix
-    asym = np.max(np.abs(h - h.conj().T))
+    h_adj = h.conj().T
+    asym = np.max(np.abs(h - h_adj))
     if asym > HERMITIAN_REJECT_TOL:
         raise NotSelfAdjointError(
             f"operator asymmetry {asym:.3e} exceeds {HERMITIAN_REJECT_TOL}; "
             "complex symbol or invalid window system?"
         )
-    return (h + h.conj().T) / 2
+    return (h + h_adj) / 2
 
 
 def eigendecompose(op: LocOperator) -> Spectrum:

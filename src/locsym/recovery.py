@@ -19,7 +19,10 @@ pt    plane tiling: lower symbol of B B*, B = A E^T the operator images of
 gp    Gabor projection: lower symbol of A, which equals the symbol blurred
       by a known unit-mass kernel.
 
-wn, pt and wn_limit symbolize PSD matrices and are clipped at zero.
+wn, pt and wn_limit symbolize PSD matrices and are clipped at zero.  They
+and was take the real symbol of a Hermitian matrix, ``hermitian_symbol``,
+which transforms only the diagonals d = 0..L//2; gp keeps the complex
+``lower_symbol`` to report its imaginary residue.
 
 In finite dimension the identity chain is exact: gp over the full grid,
 was with all L eigenpairs and a rank-one reconstruction system, and the
@@ -36,7 +39,7 @@ import numpy as np
 
 from .core import WindowSystem, as_signal
 from .errors import DegenerateKernelError, NumericalError, ValidationError
-from .gabor import lower_symbol, spectrogram
+from .gabor import hermitian_symbol, lower_symbol, spectrogram
 from .operator import (LocOperator, Spectrum, _eigen_sum, build_locop,
                        eigendecompose)
 from .wigner import weyl_symbol
@@ -68,7 +71,7 @@ def _unit_window(phi) -> np.ndarray:
 
 def _psd_symbol(matrix: np.ndarray, phi: np.ndarray):
     """Lower symbol of a PSD matrix clipped at zero, and the clipped magnitude."""
-    est = lower_symbol(matrix, phi).real
+    est = hermitian_symbol(matrix, phi)
     return np.maximum(est, 0.0), max(0.0, -float(est.min()))
 
 
@@ -182,7 +185,7 @@ def was_recover(spectrum: Spectrum, system: WindowSystem,
     projection estimator, computed through spectral data instead.
     """
     truncated, tail = _truncation(spectrum, terms)
-    out = sum(w * lower_symbol(truncated, tau).real for w, tau in system)
+    out = sum(w * hermitian_symbol(truncated, tau) for w, tau in system)
     return RecoveryResult(out, "was", {"terms": terms, "eig_tail_mass": tail})
 
 
@@ -247,7 +250,7 @@ def gp_recover(op: LocOperator, phi, region=None) -> RecoveryResult:
 
 def recover(method: str, op: LocOperator, phi, *, terms=None, draws: int = 100,
             noise_var: float = 1.0, seed: int = 0, basis=None,
-            region=None) -> RecoveryResult:
+            region=None, spectrum=None) -> RecoveryResult:
     """Run one of the estimators in METHODS on ``op``.
 
     ``terms`` (was, wawd; default L) is the number N of leading eigenpairs
@@ -255,7 +258,9 @@ def recover(method: str, op: LocOperator, phi, *, terms=None, draws: int = 100,
     of A and the tail mass is 0.  ``phi`` is the reconstruction window
     (unused by wawd).  ``draws``, ``noise_var`` and ``seed`` configure wn,
     ``basis`` is pt's orthonormal family (None: complete, A A*) and
-    ``region`` restricts gp.
+    ``region`` restricts gp.  ``spectrum`` (was, wawd) is
+    ``eigendecompose(op)`` to reuse, so several calls on one operator run
+    ``eigh`` at most once; None makes a fresh one.
     """
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}")
@@ -266,9 +271,11 @@ def recover(method: str, op: LocOperator, phi, *, terms=None, draws: int = 100,
     if method == "gp":
         return gp_recover(op, phi, region)
     terms = op.size if terms is None else terms
+    if spectrum is None:
+        spectrum = eigendecompose(op)
     if method == "was":
-        return was_recover(eigendecompose(op), WindowSystem.single(phi), terms)
-    return wawd_recover(eigendecompose(op), terms)
+        return was_recover(spectrum, WindowSystem.single(phi), terms)
+    return wawd_recover(spectrum, terms)
 
 
 def impulse_kernel(windows: WindowSystem, phi, mode: str = "analytic",
@@ -314,10 +321,11 @@ def deconvolve(estimate, kernel, eps: float) -> np.ndarray:
     if not 0 < eps < 1:
         raise ValidationError(f"eps must lie in (0, 1), got {eps}")
     ker_hat = np.fft.fft2(ker)
-    peak = float(np.max(np.abs(ker_hat)))
+    ker_mag = np.abs(ker_hat)
+    peak = float(np.max(ker_mag))
     if peak == 0.0:
         raise DegenerateKernelError("kernel has no spectral content")
-    mask = np.abs(ker_hat) > eps * peak
+    mask = ker_mag > eps * peak
     ratio = np.zeros_like(ker_hat)
     np.divide(np.fft.fft2(est), ker_hat, out=ratio, where=mask)
     out = np.fft.ifft2(ratio)

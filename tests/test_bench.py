@@ -44,6 +44,13 @@ def test_report_is_json_serializable_and_complete():
     assert all(row["seconds"] >= 0 for row in blob["rows"])
 
 
+def test_was_and_wawd_share_one_spectrum_per_symbol(eigh_calls):
+    report = bench_all(small_config(
+        eig_terms=8, symbols=[{"kind": "gaussians"}, {"kind": "circle"}]))
+    assert len(report["rows"]) == 10
+    assert len(eigh_calls) == 2
+
+
 def test_deterministic_per_seed():
     a = bench_all(small_config())
     b = bench_all(small_config())

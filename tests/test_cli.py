@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from locsym import load_csv, load_pgm
+from locsym import cli, load_csv, load_pgm
 from locsym.cli import main
 
 
@@ -334,8 +334,26 @@ def test_non_hermitian_operator_dump_exits_3(tmp_path, circle, method):
     assert not (tmp_path / "x.json").exists()
 
 
+def test_threads_without_threadpoolctl_sets_numpys_openblas(tmp_path,
+                                                            monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+    calls = cli._openblas_threads()
+    if calls is None:
+        pytest.skip("this numpy bundles no OpenBLAS")
+    get, set_ = calls
+    before = get()
+    try:
+        assert run("--threads", 1, "gen-symbol", "--kind", "circle",
+                   "--size", 16, "--out", tmp_path / "c.pgm") == 0
+        assert get() == 1
+    finally:
+        set_(before)
+    assert capsys.readouterr().err == ""
+
+
 def test_threads_without_threadpoolctl_warns(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+    monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
     assert run("--threads", 2, "gen-symbol", "--kind", "circle", "--size", 16,
                "--out", tmp_path / "c.pgm") == 0
     err = capsys.readouterr().err.splitlines()

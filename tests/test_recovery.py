@@ -191,6 +191,16 @@ class TestRecoverDispatch:
                 wawd.estimate, wawd_recover(spec, terms).estimate)
             assert was.meta == was_recover(spec, ws, terms).meta
 
+    def test_a_passed_spectrum_is_reused_with_the_same_bits(self, eigh_calls):
+        L = 48
+        g, _, _, op = gauss_setup(L, seed=32)
+        spec = eigendecompose(op)
+        for method in ("was", "wawd"):
+            np.testing.assert_array_equal(
+                recover(method, op, g, terms=12, spectrum=spec).estimate,
+                recover(method, op, g, terms=12).estimate)
+        assert len(eigh_calls) == 3  # the shared spectrum's, then one each
+
     @pytest.mark.parametrize("method", ["was", "wawd"])
     def test_truncation_through_cluster_raises(self, method):
         g, op = star_two_windows(64)

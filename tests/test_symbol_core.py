@@ -1,9 +1,11 @@
 """The quadratic-symbol kernels against their literal definitions.
 
 Every estimator is a lower or Weyl-type symbol of one matrix, and
-``build_locop`` is the adjoint map; these properties check the three
-FFT kernels entry by entry against the sums that define them, at random
-odd and even L, random non-Hermitian matrices and random window systems.
+``build_locop`` is the adjoint map; these properties check the FFT
+kernels entry by entry against the sums that define them, at random odd
+and even L, random non-Hermitian matrices and random window systems.  The
+lower symbol and ``build_locop`` work on the half lattice of diagonals
+d = 0..L//2, so odd and even L take different paths at d = L/2.
 """
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locsym import WindowSystem, build_locop, tf_shift
-from locsym.gabor import lower_symbol
+from locsym.gabor import hermitian_symbol, lower_symbol
 from locsym.wigner import weyl_symbol
 
 lengths = st.integers(5, 20)
@@ -51,6 +53,34 @@ def test_lower_symbol_is_the_pointwise_quadratic_form(length, seed):
 
 @settings(max_examples=30, deadline=None)
 @given(lengths, seeds)
+def test_hermitian_symbol_is_the_real_quadratic_form(length, seed):
+    rng = np.random.default_rng(seed)
+    m = random_matrix(rng, length)
+    phi = random_window(rng, length)
+    got = hermitian_symbol(m, phi)
+    literal = np.empty((length, length))
+    for n in range(length):
+        for k in range(length):
+            v = tf_shift(phi, (n, k))
+            literal[n, k] = (v.conj() @ m @ v).real
+    np.testing.assert_allclose(got, literal, rtol=0, atol=1e-12 * length)
+    np.testing.assert_array_equal(lower_symbol(m, phi).real, got)
+
+
+def test_symbols_of_a_real_matrix_match_its_complex_cast():
+    rng = np.random.default_rng(7)
+    for length in (16, 17):
+        m = rng.standard_normal((length, length))
+        phi = random_window(rng, length)
+        cast = m.astype(complex)
+        np.testing.assert_allclose(lower_symbol(m, phi),
+                                   lower_symbol(cast, phi), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(hermitian_symbol(m, phi),
+                                   hermitian_symbol(cast, phi), rtol=0, atol=1e-13)
+
+
+@settings(max_examples=30, deadline=None)
+@given(lengths, seeds)
 def test_weyl_symbol_is_the_folded_diagonal_sum(length, seed):
     m = random_matrix(np.random.default_rng(seed), length)
     got = weyl_symbol(m)
@@ -64,11 +94,14 @@ def test_weyl_symbol_is_the_folded_diagonal_sum(length, seed):
 
 
 @settings(max_examples=30, deadline=None)
-@given(lengths, st.integers(1, 3), seeds)
-def test_build_locop_is_the_weighted_sum_of_projectors(length, count, seed):
+@given(lengths, st.integers(1, 3), st.booleans(), seeds)
+def test_build_locop_is_the_weighted_sum_of_projectors(length, count,
+                                                       complex_symbol, seed):
     rng = np.random.default_rng(seed)
     system = random_system(rng, length, count)
     f = rng.standard_normal((length, length))
+    if complex_symbol:
+        f = f + 1j * rng.standard_normal((length, length))
     literal = np.zeros((length, length), dtype=complex)
     for n in range(length):
         for k in range(length):
@@ -78,3 +111,12 @@ def test_build_locop_is_the_weighted_sum_of_projectors(length, count, seed):
     literal /= length
     got = build_locop(f, system).matrix
     np.testing.assert_allclose(got, literal, rtol=0, atol=1e-12 * length)
+
+
+@settings(max_examples=30, deadline=None)
+@given(lengths, st.integers(1, 3), seeds)
+def test_build_locop_of_a_real_symbol_is_exactly_hermitian(length, count, seed):
+    rng = np.random.default_rng(seed)
+    a = build_locop(rng.standard_normal((length, length)),
+                    random_system(rng, length, count)).matrix
+    np.testing.assert_array_equal(a, a.conj().T)
