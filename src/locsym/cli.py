@@ -24,7 +24,7 @@ from .bench import (SCHEMA_VERSION, bench_all, report_csv, report_text,
                     resolve_windows)
 from .core import hermite_system
 from .errors import NumericalError, ValidationError
-from .mapio import load_map, save_csv, save_pgm
+from .mapio import check_value_range, load_map, save_csv, save_pgm
 from .operator import build_locop, load_locop, save_locop
 from .recovery import (IMPULSE_ESTIMATORS, METHODS, SQUARED_TARGET, deconvolve,
                        impulse_kernel, recover)
@@ -143,6 +143,11 @@ def _cmd_gen_symbol(args) -> int:
 def _cmd_recover(args) -> int:
     _check_out_dirs(args.out, args.dump_operator)
     value_range = (args.range_lo, args.range_hi)
+    out_range = value_range
+    if args.method in SQUARED_TARGET:
+        out_range = (0.0, max(1.0, args.range_hi * args.range_hi))
+    check_value_range(value_range)
+    check_value_range(out_range)
     symbol = load_map(args.symbol, value_range)
     if symbol.shape[0] != args.size:
         raise ValidationError(
@@ -186,10 +191,6 @@ def _cmd_recover(args) -> int:
     meta.update({name: result.meta[key] for key, name in _SIDECAR_META
                  if key in result.meta})
     meta["seconds"] = time.perf_counter() - tic
-
-    out_range = value_range
-    if args.method in SQUARED_TARGET:
-        out_range = (0.0, max(1.0, value_range[1] ** 2))
     _write_outputs(result.estimate, args.out, meta, out_range)
     return 0
 
@@ -214,7 +215,9 @@ def _cmd_impulse(args) -> int:
 
 def _cmd_deconvolve(args) -> int:
     _check_out_dirs(args.out)
-    est = load_map(args.est, (args.range_lo, args.range_hi))
+    value_range = (args.range_lo, args.range_hi)
+    check_value_range(value_range)
+    est = load_map(args.est, value_range)
     kernel = load_map(args.kernel)
     out = deconvolve(est, kernel, args.eps)
     sidecar = {
@@ -223,7 +226,7 @@ def _cmd_deconvolve(args) -> int:
         "kernel": args.kernel,
         "eps": args.eps,
     }
-    _write_outputs(out, args.out, sidecar, (args.range_lo, args.range_hi))
+    _write_outputs(out, args.out, sidecar, value_range)
     return 0
 
 

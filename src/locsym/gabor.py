@@ -1,15 +1,18 @@
-"""Full-lattice discrete Gabor transform, synthesis, spectrograms, lower symbols.
+"""Full-lattice discrete Gabor transform, synthesis, spectrograms, symbols.
 
 The lattice is the full grid (hop 1, L frequency bins), which makes the
 frame tight: synthesis carries a 1/L factor so analysis-then-synthesis is
 exactly the identity for a unit-norm window.
 
-The lower symbol works on the diagonals M[s, s - d] of a matrix.  The
-estimators symbolize Hermitian matrices, whose diagonal -d is the
-conjugate mirror of diagonal d, so the kernel gathers and transforms only
-the half lattice d = 0..L//2 and finishes with a real inverse FFT over d.
-A non-Hermitian M is split as H + iK into Hermitian H and K, each
-symbolized that way.
+One kernel, ``_symbol_of_half``, computes every quadratic symbol of a
+matrix.  It works on the diagonals M[s, s - d] of the Hermitian part
+(M + M*)/2, whose diagonal -d is the conjugate mirror of diagonal d, so
+it gathers and transforms only the half lattice d = 0..L//2 and finishes
+with a real inverse FFT over d.  The symbols differ only in the lag table
+the diagonals are correlated with: a window's lag product
+g[u] conj(g[u - d]) gives the lower symbol <M pi(z) g, pi(z) g>, a
+weighted sum of them the symbol over a window system, and a unit mass at
+the half-lag the Weyl symbol.
 """
 
 from __future__ import annotations
@@ -49,36 +52,33 @@ def _half_lag_spectrum(g: np.ndarray) -> np.ndarray:
     return np.fft.fft(lag, axis=1)
 
 
-def _half_diagonals(matrix: np.ndarray, phi: np.ndarray):
-    """Diagonals d = 0..L//2 of M and of M*, and phi's lag spectrum.
+def _hermitian_rows(matrix: np.ndarray, length: int) -> np.ndarray:
+    """Diagonals d = 0..L//2 of the Hermitian part (M + M*)/2 of an L x L M.
 
-    Row d of the first is M[s, s - d]; row d of the second, the mirror, is
-    conj(M[s - d, s]).
+    Row d is (M[s, s - d] + conj(M[s - d, s])) / 2.
     """
-    length = phi.size
     if matrix.shape != (length, length):
         raise ValidationError(f"matrix {matrix.shape} != window length {length}")
     idx = _half_lattice(length)
     s = np.arange(length)
-    mirror = matrix[idx, s]
-    np.conjugate(mirror, out=mirror)
-    return matrix[s, idx], mirror, _half_lag_spectrum(phi)
-
-
-def _hermitian_rows(diag: np.ndarray, mirror: np.ndarray) -> np.ndarray:
-    """Half-lattice diagonals of the Hermitian part (M + M*)/2."""
-    rows = diag + mirror
+    rows = matrix[idx, s]
+    np.conjugate(rows, out=rows)
+    rows += matrix[s, idx]
     rows *= 0.5
     return rows
 
 
 def _symbol_of_half(rows: np.ndarray, lag_hat: np.ndarray) -> np.ndarray:
-    """Lower symbol of the Hermitian H with H[s, s - d] = rows[d, s], d <= L/2.
+    """Symbol of the Hermitian H with H[s, s - d] = rows[d, s], d <= L/2.
 
-    Row d of the correlation C[d, n] = sum_s rows[d, s + n] conj(lag[d, s])
-    satisfies C[-d] = conj(C[d]), so the FFT over d is real and one
+    ``lag_hat`` is the FFT over u of a lag table lag[d, u]; the symbol is
+    sum_d exp(-2 pi i m d / L) C[d, n] with the correlation
+    C[d, n] = sum_s rows[d, s + n] conj(lag[d, s]).  Every lag table used
+    here satisfies C[-d] = conj(C[d]), so the FFT over d is real and one
     ``irfft`` over the half lattice gives it.  The FFT over s below
-    yields L conj(C[d]), the input that ``irfft`` needs.
+    yields L conj(C[d]), the input that ``irfft`` needs.  The map is
+    linear in ``lag_hat``: a weighted sum of lag spectra gives the same
+    weighted sum of symbols.
     """
     spec = np.fft.fft(rows, axis=1)
     np.conjugate(spec, out=spec)
@@ -86,33 +86,42 @@ def _symbol_of_half(rows: np.ndarray, lag_hat: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.fft(spec, axis=1), n=rows.shape[1], axis=0).T
 
 
+@functools.lru_cache(maxsize=8)
+def _midpoint_lag_spectrum(length: int) -> np.ndarray:
+    """Lag spectrum of the Weyl symbol: a unit mass at each k with 2k = d mod L.
+
+    Odd L has one, k = d (L + 1)/2 mod L.  Even L has two, d/2 and
+    d/2 + L/2, for even d and none for odd d: the frequency aliasing of
+    the even-length Wigner kernel.
+    """
+    k = np.arange(length)
+    lag = (2 * k - k[:length // 2 + 1, None]) % length == 0
+    lag_hat = np.fft.fft(lag.astype(np.float64), axis=1)
+    lag_hat.flags.writeable = False
+    return lag_hat
+
+
 def hermitian_symbol(matrix: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Re <M pi(n, m) phi, pi(n, m) phi> at every lattice point, O(L^2 log L).
 
-    This is the (real) lower symbol of the Hermitian part (M + M*)/2, so
-    only its diagonals d = 0..L//2 are gathered and transformed: half the
-    FFT work of the complex :func:`lower_symbol`, whose real part it equals
-    bit for bit.
+    This is the (real) lower symbol of the Hermitian part (M + M*)/2: the
+    symbol kernel with phi's lag product as the lag table.
     """
-    diag, mirror, lag_hat = _half_diagonals(matrix, phi)
-    return _symbol_of_half(_hermitian_rows(diag, mirror), lag_hat)
+    return _symbol_of_half(_hermitian_rows(matrix, phi.size),
+                           _half_lag_spectrum(phi))
 
 
-def lower_symbol(matrix: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """<M pi(n, m) phi, pi(n, m) phi> at every lattice point, O(L^2 log L).
+def weyl_symbol(matrix: np.ndarray) -> np.ndarray:
+    """Re sum_k M[n+k, n-k] exp(-4 pi i m k / L) at every lattice point.
 
-    M = H + iK with H = (M + M*)/2 and K = (M - M*)/2i both Hermitian, so
-    the real part is the symbol of H, computed exactly as
-    :func:`hermitian_symbol` does, and the imaginary part that of K.  Both
-    share one pair of half-lattice gathers and one lag spectrum.
+    The discrete Wigner kernel with psi[n+k] conj(psi[n-k]) replaced by
+    M[n+k, n-k].  Its real part is the Weyl-type symbol of the Hermitian
+    part (M + M*)/2, which is the symbol kernel with a unit mass at the
+    half-lag as the lag table.  O(L^2 log L).
     """
-    diag, mirror, lag_hat = _half_diagonals(matrix, phi)
-    real = _symbol_of_half(_hermitian_rows(diag, mirror), lag_hat)
-    out = real.astype(np.complex128)
-    anti = np.subtract(diag, mirror, dtype=np.complex128)
-    anti *= -0.5j
-    out.imag = _symbol_of_half(anti, lag_hat)
-    return out
+    length = matrix.shape[0]
+    return _symbol_of_half(_hermitian_rows(matrix, length),
+                           _midpoint_lag_spectrum(length))
 
 
 def _check_pair(psi: np.ndarray, g: np.ndarray):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -88,11 +89,18 @@ def load_pgm(path, value_range=(0.0, 1.0)) -> np.ndarray:
     return lo + (hi - lo) * gray / maxval
 
 
+def check_value_range(value_range) -> None:
+    """Raise ValidationError unless (lo, hi) is finite with lo < hi."""
+    lo, hi = value_range
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValidationError(
+            f"value range must be finite and increasing, got {tuple(value_range)}")
+
+
 def save_pgm(grid, path, value_range=(0.0, 1.0)):
     """Write a square map as binary 16-bit PGM, clamped to the range."""
+    check_value_range(value_range)
     lo, hi = value_range
-    if not hi > lo:
-        raise ValidationError(f"value range must be increasing, got {value_range}")
     f = np.asarray(grid, dtype=np.float64)
     if f.ndim != 2 or f.shape[0] != f.shape[1]:
         raise ValidationError(f"map must be square, got {f.shape}")

@@ -19,10 +19,14 @@ pt    plane tiling: lower symbol of B B*, B = A E^T the operator images of
 gp    Gabor projection: lower symbol of A, which equals the symbol blurred
       by a known unit-mass kernel.
 
-wn, pt and wn_limit symbolize PSD matrices and are clipped at zero.  They
-and was take the real symbol of a Hermitian matrix, ``hermitian_symbol``,
-which transforms only the diagonals d = 0..L//2; gp keeps the complex
-``lower_symbol`` to report its imaginary residue.
+Every symbol here is ``gabor._symbol_of_half`` of the Hermitian part of
+one matrix, which transforms only the diagonals d = 0..L//2; the
+estimators differ only in the lag spectrum they pass.  gp, pt, wn and
+wn_limit pass phi's (``hermitian_symbol``), was the weighted sum over its
+window system, wawd the half-lag unit mass (``weyl_symbol``).  The
+analytic impulse kernel is the lower symbol of the window operator
+S = sum_k s_k g_k g_k*.  wn, pt, wn_limit and the analytic kernel
+symbolize PSD matrices and are clipped at zero.
 
 In finite dimension the identity chain is exact: gp over the full grid,
 was with all L eigenpairs and a rank-one reconstruction system, and the
@@ -39,10 +43,10 @@ import numpy as np
 
 from .core import WindowSystem, as_signal
 from .errors import DegenerateKernelError, NumericalError, ValidationError
-from .gabor import hermitian_symbol, lower_symbol, spectrogram
+from .gabor import (_half_lag_spectrum, _hermitian_rows, _symbol_of_half,
+                    hermitian_symbol, weyl_symbol)
 from .operator import (LocOperator, Spectrum, _eigen_sum, build_locop,
                        eigendecompose)
-from .wigner import weyl_symbol
 
 _NOISE_BATCH = 128
 DEGENERACY_GAP = 1e-8
@@ -185,7 +189,8 @@ def was_recover(spectrum: Spectrum, system: WindowSystem,
     projection estimator, computed through spectral data instead.
     """
     truncated, tail = _truncation(spectrum, terms)
-    out = sum(w * hermitian_symbol(truncated, tau) for w, tau in system)
+    lag_hat = sum(w * _half_lag_spectrum(tau) for w, tau in system)
+    out = _symbol_of_half(_hermitian_rows(truncated, system.length), lag_hat)
     return RecoveryResult(out, "was", {"terms": terms, "eig_tail_mass": tail})
 
 
@@ -202,7 +207,7 @@ def wawd_recover(spectrum: Spectrum, terms: int) -> RecoveryResult:
         "eig_tail_mass": tail,
         "even_length_artifacts": truncated.shape[0] % 2 == 0,
     }
-    return RecoveryResult(weyl_symbol(truncated).real, "wawd", meta)
+    return RecoveryResult(weyl_symbol(truncated), "wawd", meta)
 
 
 def pt_recover(op: LocOperator, basis, phi) -> RecoveryResult:
@@ -236,16 +241,14 @@ def gp_recover(op: LocOperator, phi, region=None) -> RecoveryResult:
     value.
     """
     phi = _unit_window(phi)
-    symbol = lower_symbol(op.matrix, phi)
-    if region is not None:
-        points = np.asarray(list(region), dtype=np.intp).reshape(-1, 2) % op.size
-        rows, cols = points.T
-        est = np.full((op.size, op.size), np.nan)
-        est[rows, cols] = symbol.real[rows, cols]
-        return RecoveryResult(est, "gp", {"region_points": len(points)})
-    max_imag = float(np.max(np.abs(symbol.imag)))
-    return RecoveryResult(symbol.real, "gp", {"region_points": None,
-                                              "max_imag_residue": max_imag})
+    symbol = hermitian_symbol(op.matrix, phi)
+    if region is None:
+        return RecoveryResult(symbol, "gp", {"region_points": None})
+    points = np.asarray(list(region), dtype=np.intp).reshape(-1, 2) % op.size
+    rows, cols = points.T
+    est = np.full((op.size, op.size), np.nan)
+    est[rows, cols] = symbol[rows, cols]
+    return RecoveryResult(est, "gp", {"region_points": len(points)})
 
 
 def recover(method: str, op: LocOperator, phi, *, terms=None, draws: int = 100,
@@ -282,7 +285,9 @@ def impulse_kernel(windows: WindowSystem, phi, mode: str = "analytic",
                    estimator: str = "gp") -> np.ndarray:
     """Unit-mass blurring kernel separating gp/was estimates from the symbol.
 
-    analytic: (1/L) sum_k s_k |dgt(g_k, phi)|^2, peaked at the origin.
+    analytic: (1/L) sum_k s_k |dgt(g_k, phi)|^2, peaked at the origin; that
+    is the lower symbol of S = sum_k s_k g_k g_k* over L, clipped at zero
+    like every PSD symbol.
     measured: build the operator for a unit Dirac symbol at the origin and
     run the requested estimator pipeline on it; for gp and was this
     reproduces the analytic kernel to machine precision.
@@ -290,10 +295,11 @@ def impulse_kernel(windows: WindowSystem, phi, mode: str = "analytic",
     phi = _unit_window(phi)
     length = windows.length
     if mode == "analytic":
-        out = np.zeros((length, length))
-        for w, g in windows:
-            out += (w / length) * spectrogram(g, phi)
-        return out
+        g = windows.windows
+        # einsum, not a matmul: BLAS runs this rank-K product at ~16 ms
+        # in some multi-threaded processes
+        frame = np.einsum("ks,kt->st", windows.weights[:, None] * g, g.conj())
+        return _psd_symbol(frame, phi)[0] / length
     if mode != "measured":
         raise ValidationError(f"unknown impulse mode {mode!r}")
     if estimator not in IMPULSE_ESTIMATORS:

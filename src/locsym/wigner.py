@@ -1,4 +1,4 @@
-"""Discrete Wigner distribution, Weyl-type symbols and finite-rank Cohen's class.
+"""Discrete Wigner distribution and finite-rank Cohen's class.
 
 The Wigner kernel used here is
 
@@ -9,6 +9,10 @@ L the map m -> 2m mod L is a bijection, so time/frequency marginals and
 shift covariance are exact.  For even L the output is accepted but aliased:
 bins m and m + L/2 coincide, which duplicates energy along the frequency
 axis.  Downstream consumers flag even-length results accordingly.
+
+The distribution is ``gabor.weyl_symbol`` of the rank-one psi psi*: the
+shared symbol kernel with a unit mass at the half-lag, k with 2k = d mod L,
+as its lag table (two masses at even L and even d, none at odd d).
 """
 
 from __future__ import annotations
@@ -16,34 +20,18 @@ from __future__ import annotations
 import numpy as np
 
 from .core import WindowSystem, as_signal
-from .errors import NumericalError, ValidationError
-from .gabor import spectrogram
-
-_IMAG_GUARD = 1e-8
-
-
-def weyl_symbol(matrix: np.ndarray) -> np.ndarray:
-    """The Wigner kernel with psi[n+k] conj(psi[n-k]) replaced by M[n+k, n-k]."""
-    length = matrix.shape[0]
-    n = np.arange(length)[:, None]
-    k = np.arange(length)[None, :]
-    full = np.fft.fft(matrix[(n + k) % length, (n - k) % length], axis=1)
-    return full[:, (2 * np.arange(length)) % length]
+from .errors import ValidationError
+from .gabor import spectrogram, weyl_symbol
 
 
 def wigner(psi) -> np.ndarray:
     """Real Wigner distribution of ``psi`` over the L x L phase grid.
 
-    Output is real for every input by conjugate symmetry of the cyclic
-    autocorrelation; the (roundoff-level) imaginary part is checked and
-    discarded.  Time marginal: sum_m W[n, m] = L |psi[n]|^2 for odd L.
+    The Weyl symbol of psi psi*, real by construction.  Time marginal:
+    sum_m W[n, m] = L |psi[n]|^2 for odd L.
     """
     psi = as_signal(psi)
-    w = weyl_symbol(np.outer(psi, psi.conj()))
-    residue = np.max(np.abs(w.imag))
-    if residue > _IMAG_GUARD * max(1.0, float(np.max(np.abs(w.real)))):
-        raise NumericalError(f"Wigner imaginary residue {residue:.3e} too large")
-    return w.real
+    return weyl_symbol(np.outer(psi, psi.conj()))
 
 
 def cohen_class(psi, system: WindowSystem) -> np.ndarray:

@@ -539,6 +539,42 @@ def test_missing_path_exits_2_before_any_work(tmp_path, circle, capsys,
                                                           "circle.pgm"]
 
 
+BAD_RANGE_PROBES = {
+    "gp-lo-minus-inf": ("recover", "--method", "gp", "--range-lo=-inf"),
+    "gp-hi-nan": ("recover", "--method", "gp", "--range-hi", "nan"),
+    "gp-reversed": ("recover", "--method", "gp", "--range-lo", 1,
+                    "--range-hi", 0),
+    "wn-hi-inf": ("recover", "--method", "wn", "--K", 4, "--range-hi", "inf"),
+    # the squared output range of wn overflows to inf
+    "wn-hi-squared-overflows": ("recover", "--method", "wn", "--K", 4,
+                                "--range-hi", "1e200"),
+    "deconvolve-hi-inf": ("deconvolve", "--range-hi", "inf"),
+}
+
+
+@pytest.mark.parametrize("argv", BAD_RANGE_PROBES.values(),
+                         ids=BAD_RANGE_PROBES.keys())
+def test_bad_value_range_exits_2_before_any_work(tmp_path, circle, capsys,
+                                                 monkeypatch, argv):
+    from locsym import save_csv
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the range was checked")
+
+    monkeypatch.setattr("locsym.cli.build_locop", no_work)
+    monkeypatch.setattr("locsym.cli.deconvolve", no_work)
+    monkeypatch.chdir(tmp_path)
+    save_csv(np.eye(32), "est.csv")
+    inputs = sorted(p.name for p in tmp_path.iterdir())
+    if argv[0] == "recover":
+        argv += ("--symbol", circle, "--size", 32)
+    else:
+        argv += ("--est", "est.csv", "--kernel", "est.csv", "--eps", "1e-6")
+    assert run(*argv, "--out", "x") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+
 MALFORMED_RECOVER_OPTIONS = {
     "window-hermite-str": ("--method", "gp", "--window", "hermite:x"),
     "window-hermite-negative": ("--method", "gp", "--window", "hermite:-1"),

@@ -12,7 +12,7 @@ from locsym import (DegenerateKernelError, LocOperator, NotSelfAdjointError,
                     pt_recover, recover, standard_basis, tf_shift,
                     torus_distance_grid, was_recover, wawd_recover, wigner,
                     wn_limit, wn_recover)
-from locsym.gabor import lower_symbol
+from locsym.gabor import dgt, hermitian_symbol
 
 
 def gauss_setup(L, seed=None, symbol=None):
@@ -126,7 +126,7 @@ def per_draw_generator_wn(op, phi, draws, noise_var, seed):
         filtered = noise @ op.matrix.T
         covariance += filtered.T @ filtered.conj()
         energy += float(np.sum(noise.real ** 2 + noise.imag ** 2))
-    avg = np.maximum(lower_symbol(covariance / draws, phi).real, 0.0)
+    avg = np.maximum(hermitian_symbol(covariance / draws, phi), 0.0)
     return avg / (energy / (draws * length))
 
 
@@ -265,9 +265,9 @@ class TestSpectrumOnDemand:
             truncated = (vec[:terms].T * lam[:terms]) @ vec[:terms].conj()
             np.testing.assert_array_equal(
                 was_recover(spec, ws, terms).estimate,
-                lower_symbol(truncated, g).real)
+                hermitian_symbol(truncated, g))
         limit = np.maximum(
-            lower_symbol((vec.T * (lam * lam)) @ vec.conj(), g).real, 0.0)
+            hermitian_symbol((vec.T * (lam * lam)) @ vec.conj(), g), 0.0)
         np.testing.assert_array_equal(wn_limit(spec, g), limit)
 
     @pytest.mark.parametrize("method", ["was", "wawd"])
@@ -291,6 +291,20 @@ class TestAccumulatedSpectrogram:
         g, ws, _, op = gauss_setup(64, symbol=np.ones((64, 64)))
         res = was_recover(eigendecompose(op), ws, 64)
         assert np.max(np.abs(res.estimate - 1.0)) < 1e-8
+
+    @pytest.mark.parametrize("L", [32, 33])
+    def test_window_system_is_the_weighted_per_window_sum(self, L):
+        g, _, _, op = gauss_setup(L, seed=38)
+        h = hermite_system(L, 3)[2]
+        system = WindowSystem.from_pairs([(0.35, g), (0.65, h)])
+        spec = eigendecompose(op)
+        for terms in (L // 4, L):
+            per_window = sum(
+                w * was_recover(spec, WindowSystem.single(tau), terms).estimate
+                for w, tau in system)
+            np.testing.assert_allclose(
+                was_recover(spec, system, terms).estimate, per_window,
+                rtol=0, atol=1e-14)
 
     def test_full_sum_matches_gabor_projection(self):
         g, ws, _, op = gauss_setup(64, seed=7)
@@ -404,7 +418,7 @@ class TestPlaneTiling:
         basis = {"standard": standard_basis(L), "dft": dft_basis(L),
                  "hermite:20": hermite_system(L, 20, (24, 24))}[family]
         images = op.matrix @ basis.T
-        route = np.maximum(lower_symbol(images @ images.conj().T, g).real, 0.0)
+        route = np.maximum(hermitian_symbol(images @ images.conj().T, g), 0.0)
         est = pt_recover(op, basis, g).estimate
         assert np.max(np.abs(est - route)) < 1e-12
         if len(basis) == L:
@@ -439,6 +453,12 @@ class TestGaborProjection:
         est = gp_recover(op, g).estimate
         kernel = impulse_kernel(ws, g)
         assert np.max(np.abs(est - circ_conv2(f, kernel))) < 1e-10
+
+    @pytest.mark.parametrize("L", [64, 65])
+    def test_is_the_hermitian_symbol_of_a_bit_for_bit(self, L):
+        g, _, _, op = gauss_setup(L, seed=17)
+        np.testing.assert_array_equal(gp_recover(op, g).estimate,
+                                      hermitian_symbol(op.matrix, g))
 
     def test_matches_literal_pointwise_form(self):
         L = 16
@@ -490,6 +510,16 @@ class TestImpulseKernel:
         ws = WindowSystem.single(g)
         kernel = impulse_kernel(ws, g)
         assert abs(kernel.sum() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("L", [32, 33, 64, 65])
+    def test_analytic_kernel_is_the_literal_spectrogram_sum(self, L):
+        # the unclipped symbol dips to about -1e-18 at these L
+        g = make_gaussian_window(L)
+        ws = WindowSystem.from_pairs([(0.5, g), (0.5, hermite_system(L, 2)[1])])
+        kernel = impulse_kernel(ws, g)
+        literal = sum(w * np.abs(dgt(tau, g)) ** 2 for w, tau in ws) / L
+        np.testing.assert_allclose(kernel, literal, rtol=0, atol=1e-15)
+        assert kernel.min() >= 0.0
 
     def test_analytic_kernel_peaks_at_origin(self):
         L = 64

@@ -4,17 +4,17 @@ Every estimator is a lower or Weyl-type symbol of one matrix, and
 ``build_locop`` is the adjoint map; these properties check the FFT
 kernels entry by entry against the sums that define them, at random odd
 and even L, random non-Hermitian matrices and random window systems.  The
-lower symbol and ``build_locop`` work on the half lattice of diagonals
+symbol kernel and ``build_locop`` work on the half lattice of diagonals
 d = 0..L//2, so odd and even L take different paths at d = L/2.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locsym import WindowSystem, build_locop, tf_shift
-from locsym.gabor import hermitian_symbol, lower_symbol
-from locsym.wigner import weyl_symbol
+from locsym.gabor import hermitian_symbol, weyl_symbol
 
 lengths = st.integers(5, 20)
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -38,21 +38,6 @@ def random_system(rng, length, count):
 
 @settings(max_examples=30, deadline=None)
 @given(lengths, seeds)
-def test_lower_symbol_is_the_pointwise_quadratic_form(length, seed):
-    rng = np.random.default_rng(seed)
-    m = random_matrix(rng, length)
-    phi = random_window(rng, length)
-    got = lower_symbol(m, phi)
-    literal = np.empty((length, length), dtype=complex)
-    for n in range(length):
-        for k in range(length):
-            v = tf_shift(phi, (n, k))
-            literal[n, k] = v.conj() @ m @ v
-    np.testing.assert_allclose(got, literal, rtol=0, atol=1e-12 * length)
-
-
-@settings(max_examples=30, deadline=None)
-@given(lengths, seeds)
 def test_hermitian_symbol_is_the_real_quadratic_form(length, seed):
     rng = np.random.default_rng(seed)
     m = random_matrix(rng, length)
@@ -64,7 +49,6 @@ def test_hermitian_symbol_is_the_real_quadratic_form(length, seed):
             v = tf_shift(phi, (n, k))
             literal[n, k] = (v.conj() @ m @ v).real
     np.testing.assert_allclose(got, literal, rtol=0, atol=1e-12 * length)
-    np.testing.assert_array_equal(lower_symbol(m, phi).real, got)
 
 
 def test_symbols_of_a_real_matrix_match_its_complex_cast():
@@ -73,24 +57,39 @@ def test_symbols_of_a_real_matrix_match_its_complex_cast():
         m = rng.standard_normal((length, length))
         phi = random_window(rng, length)
         cast = m.astype(complex)
-        np.testing.assert_allclose(lower_symbol(m, phi),
-                                   lower_symbol(cast, phi), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(weyl_symbol(m), weyl_symbol(cast),
+                                   rtol=0, atol=1e-13)
         np.testing.assert_allclose(hermitian_symbol(m, phi),
                                    hermitian_symbol(cast, phi), rtol=0, atol=1e-13)
 
 
-@settings(max_examples=30, deadline=None)
-@given(lengths, seeds)
-def test_weyl_symbol_is_the_folded_diagonal_sum(length, seed):
-    m = random_matrix(np.random.default_rng(seed), length)
-    got = weyl_symbol(m)
+def folded_diagonal_sum(m):
+    """Re sum_k m[n+k, n-k] exp(-4 pi i freq k / L), entry by entry."""
+    length = m.shape[0]
     k = np.arange(length)
     literal = np.empty((length, length), dtype=complex)
     for n in range(length):
         for freq in range(length):
             literal[n, freq] = np.sum(m[(n + k) % length, (n - k) % length]
                                       * np.exp(-4j * np.pi * freq * k / length))
-    np.testing.assert_allclose(got, literal, rtol=0, atol=1e-12 * length)
+    return literal.real
+
+
+@settings(max_examples=30, deadline=None)
+@given(lengths, seeds)
+def test_weyl_symbol_is_the_folded_diagonal_sum(length, seed):
+    m = random_matrix(np.random.default_rng(seed), length)
+    np.testing.assert_allclose(weyl_symbol(m), folded_diagonal_sum(m),
+                               rtol=0, atol=1e-12 * length)
+
+
+@pytest.mark.parametrize("length", range(4, 24))
+def test_weyl_symbol_sweep_covers_every_residue_of_l_mod_4(length):
+    # L = 0 and 2 mod 4 differ at d = L/2: an even lag with two half-lag
+    # masses, or an odd lag with none
+    m = random_matrix(np.random.default_rng(length), length)
+    np.testing.assert_allclose(weyl_symbol(m), folded_diagonal_sum(m),
+                               rtol=0, atol=1e-12 * length)
 
 
 @settings(max_examples=30, deadline=None)

@@ -81,6 +81,17 @@ class TestPgm:
         back = load_pgm(path, (-1.0, 1.0))
         assert np.max(np.abs(back - f)) <= 2.0 / 65535
 
+    @pytest.mark.parametrize("value_range", [(0.0, math.inf),
+                                             (-math.inf, 1.0),
+                                             (math.nan, 1.0), (1.0, 1.0),
+                                             (1.0, 0.0)])
+    def test_save_rejects_a_non_finite_or_non_increasing_range(
+            self, tmp_path, value_range):
+        path = tmp_path / "map.pgm"
+        with pytest.raises(ValidationError, match="finite and increasing"):
+            save_pgm(np.zeros((4, 4)), path, value_range)
+        assert not path.exists()
+
     def test_p2_parses_like_p5(self, tmp_path):
         grid = np.array([[0, 100], [200, 255]], dtype=np.int64)
         # hand-written 8-bit variants with a comment line
