@@ -145,7 +145,7 @@ def _cmd_recover(args) -> int:
     value_range = (args.range_lo, args.range_hi)
     out_range = value_range
     if args.method in SQUARED_TARGET:
-        out_range = (0.0, max(1.0, args.range_hi * args.range_hi))
+        out_range = (0.0, max(1.0, *(v * v for v in value_range)))
     check_value_range(value_range)
     check_value_range(out_range)
     symbol = load_map(args.symbol, value_range)

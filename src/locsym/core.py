@@ -121,7 +121,7 @@ def standard_basis(length: int) -> np.ndarray:
 def dft_basis(length: int) -> np.ndarray:
     """Orthonormal Fourier basis, e_n[t] = exp(2 pi i n t / L) / sqrt(L)."""
     t = np.arange(length)
-    return np.exp(2j * math.pi * np.outer(t, t) / length) / math.sqrt(length)
+    return np.exp(2j * math.pi * (t[:, None] * t) / length) / math.sqrt(length)
 
 
 @dataclass(frozen=True)

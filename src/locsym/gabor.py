@@ -5,14 +5,21 @@ frame tight: synthesis carries a 1/L factor so analysis-then-synthesis is
 exactly the identity for a unit-norm window.
 
 One kernel, ``_symbol_of_half``, computes every quadratic symbol of a
-matrix.  It works on the diagonals M[s, s - d] of the Hermitian part
-(M + M*)/2, whose diagonal -d is the conjugate mirror of diagonal d, so
-it gathers and transforms only the half lattice d = 0..L//2 and finishes
-with a real inverse FFT over d.  The symbols differ only in the lag table
-the diagonals are correlated with: a window's lag product
-g[u] conj(g[u - d]) gives the lower symbol <M pi(z) g, pi(z) g>, a
-weighted sum of them the symbol over a window system, and a unit mass at
-the half-lag the Weyl symbol.
+matrix.  It works on the diagonals M[s, s - d] of a Hermitian M, whose
+diagonal -d is the conjugate mirror of diagonal d, so it transforms only
+the half lattice d = 0..L//2 and finishes with a real inverse FFT over
+d.  The symbols differ only in the lag table the diagonals are
+correlated with: a window's lag product g[u] conj(g[u - d]) gives the
+lower symbol <M pi(z) g, pi(z) g>, a weighted sum of them the symbol
+over a window system, and a unit mass at the half-lag the Weyl symbol.
+
+``_lag_table`` is the one place such diagonals are formed: the same
+table is the lag table of a symbol and the rows of the window operator
+S = sum_k w_k g_k g_k* or of a rank-one psi psi*.  So the analytic
+impulse kernel and the Wigner distribution are symbolized from their
+tables; neither S nor psi psi* is ever formed as an L x L matrix.  A
+general matrix enters through ``_hermitian_rows``, the diagonals of its
+Hermitian part (M + M*)/2.
 """
 
 from __future__ import annotations
@@ -44,12 +51,24 @@ def _half_lattice(length: int) -> np.ndarray:
     return _roll_table(length)[:length // 2 + 1]
 
 
-def _half_lag_spectrum(g: np.ndarray) -> np.ndarray:
-    """FFT over u of the lag product g[u] conj(g[(u - d) mod L]), d = 0..L//2."""
-    lag = g[_half_lattice(g.size)]
-    np.conjugate(lag, out=lag)
-    lag *= g
-    return np.fft.fft(lag, axis=1)
+def _lag_table(windows: np.ndarray, weights=None) -> np.ndarray:
+    """Diagonals d = 0..L//2 of S = sum_k w_k g_k g_k*.
+
+    Row d is S[u, u - d] = sum_k w_k g_k[u] conj(g_k[(u - d) mod L]).
+    With no ``weights``, ``windows`` is one window g and the table is its
+    lag product, the diagonals of g g*.  Otherwise ``windows`` holds one
+    window per row, added one at a time into a single buffer, so memory
+    does not grow with their number.  No BLAS call: BLAS threading runs
+    small complex products at a flat ~16 ms in some processes.
+    """
+    if weights is not None:
+        table = np.zeros(_half_lattice(windows.shape[1]).shape, dtype=complex)
+        for w, g in zip(weights, windows):
+            table += w * _lag_table(g)
+        return table
+    lag = windows.conj()[_half_lattice(windows.size)]
+    lag *= windows
+    return lag
 
 
 def _hermitian_rows(matrix: np.ndarray, length: int) -> np.ndarray:
@@ -108,7 +127,7 @@ def hermitian_symbol(matrix: np.ndarray, phi: np.ndarray) -> np.ndarray:
     symbol kernel with phi's lag product as the lag table.
     """
     return _symbol_of_half(_hermitian_rows(matrix, phi.size),
-                           _half_lag_spectrum(phi))
+                           np.fft.fft(_lag_table(phi), axis=1))
 
 
 def weyl_symbol(matrix: np.ndarray) -> np.ndarray:
@@ -124,22 +143,15 @@ def weyl_symbol(matrix: np.ndarray) -> np.ndarray:
                            _midpoint_lag_spectrum(length))
 
 
-def _check_pair(psi: np.ndarray, g: np.ndarray):
-    if psi.size != g.size:
-        raise ValidationError(
-            f"signal length {psi.size} != window length {g.size}"
-        )
-
-
 def dgt(psi, g) -> np.ndarray:
     """Discrete Gabor transform V[n, m] = <psi, pi(n, m) g>.
 
     Computed as L length-L FFTs: V[n] = FFT(psi * conj(g delayed by n)).
     """
     psi, g = as_signal(psi), as_signal(g)
-    _check_pair(psi, g)
-    shifted = g[_roll_table(psi.size)]
-    return np.fft.fft(psi[None, :] * shifted.conj(), axis=1)
+    if psi.size != g.size:
+        raise ValidationError(f"signal length {psi.size} != window length {g.size}")
+    return np.fft.fft(psi * g.conj()[_roll_table(psi.size)], axis=1)
 
 
 def dgt_adjoint(coeffs, g) -> np.ndarray:

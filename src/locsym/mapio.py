@@ -52,6 +52,7 @@ def _tokens(data: bytes):
 
 def load_pgm(path, value_range=(0.0, 1.0)) -> np.ndarray:
     """Read a square P2/P5 PGM and map gray levels linearly onto the range."""
+    check_value_range(value_range)
     lo, hi = value_range
     with open(path, "rb") as fh:
         data = fh.read()

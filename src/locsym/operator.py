@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import WindowSystem, as_signal
 from .errors import NotSelfAdjointError, ValidationError
-from .gabor import _half_lag_spectrum, _half_lattice
+from .gabor import _half_lattice, _lag_table
 
 HERMITIAN_REJECT_TOL = 1e-6
 
@@ -130,7 +130,7 @@ def _hermitian_locop(f: np.ndarray, windows: WindowSystem) -> np.ndarray:
     rows_hat = np.fft.fft(np.fft.ihfft(f, axis=1), axis=0).T
     diag = np.zeros(rows_hat.shape, dtype=np.complex128)
     for w, g in windows:
-        diag += w * np.fft.ifft(rows_hat * _half_lag_spectrum(g), axis=1)
+        diag += w * np.fft.ifft(rows_hat * np.fft.fft(_lag_table(g), axis=1), axis=1)
     diag[0] = diag[0].real
     if length % 2 == 0:
         diag[-1, length // 2:] = diag[-1, :length // 2].conj()

@@ -19,13 +19,14 @@ pt    plane tiling: lower symbol of B B*, B = A E^T the operator images of
 gp    Gabor projection: lower symbol of A, which equals the symbol blurred
       by a known unit-mass kernel.
 
-Every symbol here is ``gabor._symbol_of_half`` of the Hermitian part of
-one matrix, which transforms only the diagonals d = 0..L//2; the
-estimators differ only in the lag spectrum they pass.  gp, pt, wn and
-wn_limit pass phi's (``hermitian_symbol``), was the weighted sum over its
-window system, wawd the half-lag unit mass (``weyl_symbol``).  The
-analytic impulse kernel is the lower symbol of the window operator
-S = sum_k s_k g_k g_k*.  wn, pt, wn_limit and the analytic kernel
+Every symbol here is ``gabor._symbol_of_half`` of the diagonals
+d = 0..L//2 of one Hermitian matrix against one lag table; the
+estimators differ only in the table.  gp, pt, wn and wn_limit use phi's
+lag product (``hermitian_symbol``), was the table of its window system,
+wawd the half-lag unit mass (``weyl_symbol``).  The analytic impulse
+kernel is the lower symbol of the window operator S = sum_k s_k g_k g_k*,
+whose diagonals are that same system table (``gabor._lag_table``), so S
+itself is never formed.  wn, pt, wn_limit and the analytic kernel
 symbolize PSD matrices and are clipped at zero.
 
 In finite dimension the identity chain is exact: gp over the full grid,
@@ -43,7 +44,7 @@ import numpy as np
 
 from .core import WindowSystem, as_signal
 from .errors import DegenerateKernelError, NumericalError, ValidationError
-from .gabor import (_half_lag_spectrum, _hermitian_rows, _symbol_of_half,
+from .gabor import (_hermitian_rows, _lag_table, _symbol_of_half,
                     hermitian_symbol, weyl_symbol)
 from .operator import (LocOperator, Spectrum, _eigen_sum, build_locop,
                        eigendecompose)
@@ -189,7 +190,7 @@ def was_recover(spectrum: Spectrum, system: WindowSystem,
     projection estimator, computed through spectral data instead.
     """
     truncated, tail = _truncation(spectrum, terms)
-    lag_hat = sum(w * _half_lag_spectrum(tau) for w, tau in system)
+    lag_hat = np.fft.fft(_lag_table(system.windows, system.weights), axis=1)
     out = _symbol_of_half(_hermitian_rows(truncated, system.length), lag_hat)
     return RecoveryResult(out, "was", {"terms": terms, "eig_tail_mass": tail})
 
@@ -287,7 +288,8 @@ def impulse_kernel(windows: WindowSystem, phi, mode: str = "analytic",
 
     analytic: (1/L) sum_k s_k |dgt(g_k, phi)|^2, peaked at the origin; that
     is the lower symbol of S = sum_k s_k g_k g_k* over L, clipped at zero
-    like every PSD symbol.
+    like every PSD symbol.  It is computed from S's diagonals, the lag
+    table of the system, so S is never formed.
     measured: build the operator for a unit Dirac symbol at the origin and
     run the requested estimator pipeline on it; for gp and was this
     reproduces the analytic kernel to machine precision.
@@ -295,11 +297,9 @@ def impulse_kernel(windows: WindowSystem, phi, mode: str = "analytic",
     phi = _unit_window(phi)
     length = windows.length
     if mode == "analytic":
-        g = windows.windows
-        # einsum, not a matmul: BLAS runs this rank-K product at ~16 ms
-        # in some multi-threaded processes
-        frame = np.einsum("ks,kt->st", windows.weights[:, None] * g, g.conj())
-        return _psd_symbol(frame, phi)[0] / length
+        kernel = _symbol_of_half(_lag_table(windows.windows, windows.weights),
+                                 np.fft.fft(_lag_table(phi), axis=1))
+        return np.maximum(kernel, 0.0) / length
     if mode != "measured":
         raise ValidationError(f"unknown impulse mode {mode!r}")
     if estimator not in IMPULSE_ESTIMATORS:

@@ -10,9 +10,11 @@ shift covariance are exact.  For even L the output is accepted but aliased:
 bins m and m + L/2 coincide, which duplicates energy along the frequency
 axis.  Downstream consumers flag even-length results accordingly.
 
-The distribution is ``gabor.weyl_symbol`` of the rank-one psi psi*: the
-shared symbol kernel with a unit mass at the half-lag, k with 2k = d mod L,
-as its lag table (two masses at even L and even d, none at odd d).
+The distribution is the Weyl symbol of the rank-one psi psi*: the shared
+symbol kernel with a unit mass at the half-lag, k with 2k = d mod L, as
+its lag table (two masses at even L and even d, none at odd d).  The
+diagonals of psi psi* are psi's own lag table psi[u] conj(psi[u - d])
+(``gabor._lag_table``), so the L x L outer product is never formed.
 """
 
 from __future__ import annotations
@@ -21,17 +23,17 @@ import numpy as np
 
 from .core import WindowSystem, as_signal
 from .errors import ValidationError
-from .gabor import spectrogram, weyl_symbol
+from .gabor import _lag_table, _midpoint_lag_spectrum, _symbol_of_half, spectrogram
 
 
 def wigner(psi) -> np.ndarray:
     """Real Wigner distribution of ``psi`` over the L x L phase grid.
 
-    The Weyl symbol of psi psi*, real by construction.  Time marginal:
-    sum_m W[n, m] = L |psi[n]|^2 for odd L.
+    The Weyl symbol of psi psi* from psi's lag table, real by
+    construction.  Time marginal: sum_m W[n, m] = L |psi[n]|^2 for odd L.
     """
     psi = as_signal(psi)
-    return weyl_symbol(np.outer(psi, psi.conj()))
+    return _symbol_of_half(_lag_table(psi), _midpoint_lag_spectrum(psi.size))
 
 
 def cohen_class(psi, system: WindowSystem) -> np.ndarray:

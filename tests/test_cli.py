@@ -87,6 +87,53 @@ def test_impulse_then_deconvolve(tmp_path, circle):
     assert load_csv(tmp_path / "dec.csv").shape == (32, 32)
 
 
+def test_unstable_deconvolution_exits_3_and_writes_nothing(tmp_path, capsys):
+    # at eps = 1e-14 the imaginary residue is 7.5e-4, far above 1e-6
+    assert run("gen-symbol", "--kind", "circle", "--size", 64,
+               "--out", tmp_path / "c.pgm", "--csv", tmp_path / "c.csv") == 0
+    assert run("recover", "--method", "gp", "--symbol", tmp_path / "c.csv",
+               "--size", 64, "--out", tmp_path / "est") == 0
+    assert run("impulse", "--mode", "analytic", "--size", 64,
+               "--out", tmp_path / "ker") == 0
+    capsys.readouterr()
+    assert run("deconvolve", "--est", tmp_path / "est.csv",
+               "--kernel", tmp_path / "ker.csv", "--eps", "1e-14",
+               "--out", tmp_path / "dec") == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not list(tmp_path.glob("dec*"))
+
+
+def test_recover_from_a_pgm_symbol_maps_gray_onto_the_range(tmp_path, circle):
+    from locsym import save_csv
+
+    # the circle is 0/1, so its PGM read over (-1, 1) is exactly 2f - 1
+    save_csv(2 * load_csv(circle) - 1, tmp_path / "signed.csv")
+    for symbol, out in (("signed.csv", "from_csv"), ("circle.pgm", "from_pgm")):
+        assert run("recover", "--method", "gp", "--symbol", tmp_path / symbol,
+                   "--size", 32, "--range-lo", -1, "--range-hi", 1,
+                   "--out", tmp_path / out) == 0
+    assert load_csv(tmp_path / "from_pgm.csv").min() < 0
+    assert ((tmp_path / "from_pgm.csv").read_bytes()
+            == (tmp_path / "from_csv.csv").read_bytes())
+
+
+def test_squared_target_pgm_range_covers_the_low_end(tmp_path):
+    from locsym import save_csv, save_pgm
+
+    # pt estimates f**2, which reaches (-2)**2 = 4 here, above range_hi**2
+    f = np.ones((16, 16))
+    f[:8] = -2.0
+    save_csv(f, tmp_path / "sym.csv")
+    assert run("recover", "--method", "pt", "--symbol", tmp_path / "sym.csv",
+               "--size", 16, "--range-lo", -2, "--range-hi", 1,
+               "--out", tmp_path / "est") == 0
+    est = load_csv(tmp_path / "est.csv")
+    assert est.max() > 1.0
+    save_pgm(est, tmp_path / "ref.pgm", (0.0, 4.0))
+    assert ((tmp_path / "est.pgm").read_bytes()
+            == (tmp_path / "ref.pgm").read_bytes())
+
+
 def test_measured_impulse_matches_analytic(tmp_path):
     assert run("impulse", "--mode", "analytic", "--size", 32,
                "--out", tmp_path / "a") == 0

@@ -513,13 +513,17 @@ class TestImpulseKernel:
 
     @pytest.mark.parametrize("L", [32, 33, 64, 65])
     def test_analytic_kernel_is_the_literal_spectrogram_sum(self, L):
-        # the unclipped symbol dips to about -1e-18 at these L
+        # the unclipped symbol dips to about -1e-18 at these L; the unequal
+        # three-window weights make the summation order over windows matter
         g = make_gaussian_window(L)
-        ws = WindowSystem.from_pairs([(0.5, g), (0.5, hermite_system(L, 2)[1])])
-        kernel = impulse_kernel(ws, g)
-        literal = sum(w * np.abs(dgt(tau, g)) ** 2 for w, tau in ws) / L
-        np.testing.assert_allclose(kernel, literal, rtol=0, atol=1e-15)
-        assert kernel.min() >= 0.0
+        h = hermite_system(L, 3)
+        for pairs in ([(0.5, g), (0.5, hermite_system(L, 2)[1])],
+                      [(0.2, g), (0.3, h[1]), (0.5, h[2])]):
+            ws = WindowSystem.from_pairs(pairs)
+            kernel = impulse_kernel(ws, g)
+            literal = sum(w * np.abs(dgt(tau, g)) ** 2 for w, tau in ws) / L
+            np.testing.assert_allclose(kernel, literal, rtol=0, atol=1e-15)
+            assert kernel.min() >= 0.0
 
     def test_analytic_kernel_peaks_at_origin(self):
         L = 64

@@ -92,6 +92,14 @@ class TestPgm:
             save_pgm(np.zeros((4, 4)), path, value_range)
         assert not path.exists()
 
+    @pytest.mark.parametrize("value_range", [(0.0, math.inf), (1.0, 0.0)])
+    def test_load_rejects_a_non_finite_or_non_increasing_range(
+            self, tmp_path, value_range):
+        path = tmp_path / "map.pgm"
+        save_pgm(np.eye(4), path)
+        with pytest.raises(ValidationError, match="finite and increasing"):
+            load_pgm(path, value_range)
+
     def test_p2_parses_like_p5(self, tmp_path):
         grid = np.array([[0, 100], [200, 255]], dtype=np.int64)
         # hand-written 8-bit variants with a comment line
