@@ -24,7 +24,7 @@ from .bench import (SCHEMA_VERSION, bench_all, report_csv, report_text,
                     resolve_windows)
 from .core import hermite_system
 from .errors import NumericalError, ValidationError
-from .mapio import check_value_range, load_map, save_csv, save_pgm
+from .mapio import check_value_range, load_csv, load_map, save_csv, save_pgm
 from .operator import build_locop, load_locop, save_locop
 from .recovery import (IMPULSE_ESTIMATORS, METHODS, SQUARED_TARGET, deconvolve,
                        impulse_kernel, recover)
@@ -214,11 +214,14 @@ def _cmd_impulse(args) -> int:
 
 
 def _cmd_deconvolve(args) -> int:
+    if not args.kernel.lower().endswith(".csv"):
+        raise ValidationError(f"--kernel {args.kernel!r}: give the CSV that impulse "
+                              f"wrote, {os.path.splitext(args.kernel)[0]}.csv")
     _check_out_dirs(args.out)
     value_range = (args.range_lo, args.range_hi)
     check_value_range(value_range)
     est = load_map(args.est, value_range)
-    kernel = load_map(args.kernel)
+    kernel = load_csv(args.kernel)
     out = deconvolve(est, kernel, args.eps)
     sidecar = {
         "schema_version": SCHEMA_VERSION,
@@ -307,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("deconvolve", help="divide out a blurring kernel")
     p.add_argument("--est", required=True, help="estimate file (CSV preferred)")
-    p.add_argument("--kernel", required=True)
+    p.add_argument("--kernel", required=True, help="kernel CSV written by impulse")
     p.add_argument("--eps", type=float, required=True,
                    help="relative spectral threshold in (0, 1)")
     p.add_argument("--range-lo", type=float, default=0.0)

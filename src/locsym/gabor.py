@@ -4,6 +4,11 @@ The lattice is the full grid (hop 1, L frequency bins), which makes the
 frame tight: synthesis carries a 1/L factor so analysis-then-synthesis is
 exactly the identity for a unit-norm window.
 
+Every kernel here needs one index, "x delayed by n".  ``_delays(x)`` is
+that index as a read-only strided view over 2L - 1 entries, so no L x L
+index table is formed or cached: ``dgt`` and ``dgt_adjoint`` read the
+view directly.
+
 One kernel, ``_symbol_of_half``, computes every quadratic symbol of a
 matrix.  It works on the diagonals M[s, s - d] of a Hermitian M, whose
 diagonal -d is the conjugate mirror of diagonal d, so it transforms only
@@ -17,9 +22,12 @@ over a window system, and a unit mass at the half-lag the Weyl symbol.
 table is the lag table of a symbol and the rows of the window operator
 S = sum_k w_k g_k g_k* or of a rank-one psi psi*.  So the analytic
 impulse kernel and the Wigner distribution are symbolized from their
-tables; neither S nor psi psi* is ever formed as an L x L matrix.  A
-general matrix enters through ``_hermitian_rows``, the diagonals of its
-Hermitian part (M + M*)/2.
+tables; neither S nor psi psi* is ever formed as an L x L matrix.
+
+This module alone owns the (d, s) layout of the half lattice, in both
+directions: ``_hermitian_rows`` takes the diagonals of the Hermitian
+part (M + M*)/2 of a general matrix, and ``_hermitian_matrix`` scatters
+such diagonals back into the dense Hermitian matrix.
 """
 
 from __future__ import annotations
@@ -32,13 +40,18 @@ from .core import as_signal
 from .errors import ValidationError
 
 
-@functools.lru_cache(maxsize=8)
-def _roll_table(length: int) -> np.ndarray:
-    """idx[n, t] = (t - n) mod L, so g[idx][n] is g delayed by n."""
-    t = np.arange(length)
-    idx = (t[None, :] - t[:, None]) % length
-    idx.flags.writeable = False
-    return idx
+def _delays(x: np.ndarray) -> np.ndarray:
+    """Read-only view with [n, t] = x[(t - n) mod L]: row n is x delayed by n.
+
+    Row n starts at entry L - 1 - n of x[1:] followed by x, so the view
+    holds 2L - 1 entries, not L^2; numpy checks its strides against that
+    buffer.  ``sliding_window_view`` gives the same view at about four
+    times the cost per call, which adds several percent to a job at
+    L = 128.
+    """
+    y = np.concatenate((x[1:], x))
+    y.flags.writeable = False
+    return np.ndarray((x.size,) * 2, y.dtype, y, strides=(y.itemsize,) * 2)[::-1]
 
 
 def _half_lattice(length: int) -> np.ndarray:
@@ -46,9 +59,9 @@ def _half_lattice(length: int) -> np.ndarray:
 
     A Hermitian matrix is fixed by these diagonals: M[s - d, s] is the
     conjugate of M[s, s - d], and the lags above L//2 are those of the
-    mirror.  A view of ``_roll_table``, so it costs no memory of its own.
+    mirror.  The delays of 0..L-1, so O(L) memory and nothing to cache.
     """
-    return _roll_table(length)[:length // 2 + 1]
+    return _delays(np.arange(length))[:length // 2 + 1]
 
 
 def _lag_table(windows: np.ndarray, weights=None) -> np.ndarray:
@@ -66,9 +79,7 @@ def _lag_table(windows: np.ndarray, weights=None) -> np.ndarray:
         for w, g in zip(weights, windows):
             table += w * _lag_table(g)
         return table
-    lag = windows.conj()[_half_lattice(windows.size)]
-    lag *= windows
-    return lag
+    return _delays(windows.conj())[:windows.size // 2 + 1] * windows
 
 
 def _hermitian_rows(matrix: np.ndarray, length: int) -> np.ndarray:
@@ -85,6 +96,25 @@ def _hermitian_rows(matrix: np.ndarray, length: int) -> np.ndarray:
     rows += matrix[s, idx]
     rows *= 0.5
     return rows
+
+
+def _hermitian_matrix(rows: np.ndarray) -> np.ndarray:
+    """The Hermitian H with H[s, s - d] = rows[d, s], d = 0..L//2.
+
+    The inverse of ``_hermitian_rows``.  Row 0, the main diagonal, is made
+    real, and at even L the second half of row L/2 is made the conjugate
+    of its first half, both in place, so H is Hermitian bit for bit.
+    """
+    length = rows.shape[1]
+    rows[0] = rows[0].real
+    if length % 2 == 0:
+        rows[-1, length // 2:] = rows[-1, :length // 2].conj()
+    idx = _half_lattice(length)
+    s = np.arange(length)
+    out = np.empty((length, length), dtype=np.complex128)
+    out[idx, s] = rows.conj()
+    out[s, idx] = rows
+    return out
 
 
 def _symbol_of_half(rows: np.ndarray, lag_hat: np.ndarray) -> np.ndarray:
@@ -111,7 +141,9 @@ def _midpoint_lag_spectrum(length: int) -> np.ndarray:
 
     Odd L has one, k = d (L + 1)/2 mod L.  Even L has two, d/2 and
     d/2 + L/2, for even d and none for odd d: the frequency aliasing of
-    the even-length Wigner kernel.
+    the even-length Wigner kernel.  Cached because it is a computed FFT,
+    not an index: recomputing it on every call adds about a third to
+    ``wawd(L)`` at L = 255 and 256.
     """
     k = np.arange(length)
     lag = (2 * k - k[:length // 2 + 1, None]) % length == 0
@@ -151,7 +183,7 @@ def dgt(psi, g) -> np.ndarray:
     psi, g = as_signal(psi), as_signal(g)
     if psi.size != g.size:
         raise ValidationError(f"signal length {psi.size} != window length {g.size}")
-    return np.fft.fft(psi * g.conj()[_roll_table(psi.size)], axis=1)
+    return np.fft.fft(psi * _delays(g.conj()), axis=1)
 
 
 def dgt_adjoint(coeffs, g) -> np.ndarray:
@@ -166,8 +198,7 @@ def dgt_adjoint(coeffs, g) -> np.ndarray:
         raise ValidationError(
             f"coefficient map must be {g.size}x{g.size}, got {coeffs.shape}"
         )
-    shifted = g[_roll_table(g.size)]
-    return np.sum(np.fft.ifft(coeffs, axis=1) * shifted, axis=0)
+    return np.sum(np.fft.ifft(coeffs, axis=1) * _delays(g), axis=0)
 
 
 def spectrogram(psi, g) -> np.ndarray:

@@ -16,13 +16,12 @@ import hashlib
 import os
 import struct
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .core import WindowSystem, as_signal
 from .errors import NotSelfAdjointError, ValidationError
-from .gabor import _half_lattice, _lag_table
+from .gabor import _hermitian_matrix, _lag_table
 
 HERMITIAN_REJECT_TOL = 1e-6
 
@@ -34,13 +33,12 @@ class LocOperator:
     """Dense localization operator with provenance.
 
     ``matrix`` must be a square 2-d array with finite entries
-    (ValidationError otherwise).  ``windows`` and ``symbol_hash`` record
-    how the matrix was built; they are informational and may be absent for
-    operators loaded from disk.
+    (ValidationError otherwise).  ``symbol_hash`` records the symbol the
+    matrix was built from; it is informational and empty for operators
+    loaded from disk.
     """
 
     matrix: np.ndarray
-    windows: Optional[WindowSystem] = None
     symbol_hash: str = ""
 
     def __post_init__(self):
@@ -123,23 +121,14 @@ def _hermitian_locop(f: np.ndarray, windows: WindowSystem) -> np.ndarray:
     Diagonal d is the circular convolution over time shift n of
     ifft_m f[n, d] with the lag product g[u] conj(g[u - d]), summed over
     the windows; ``ihfft`` gives ifft_m of a real f at d = 0..L//2 only.
-    The main diagonal is real and, at even L, the second half of diagonal
-    L/2 mirrors its first half, so the result is Hermitian bit for bit.
+    ``_hermitian_matrix`` scatters the diagonals into an A that is
+    Hermitian bit for bit.
     """
-    length = f.shape[0]
     rows_hat = np.fft.fft(np.fft.ihfft(f, axis=1), axis=0).T
     diag = np.zeros(rows_hat.shape, dtype=np.complex128)
     for w, g in windows:
         diag += w * np.fft.ifft(rows_hat * np.fft.fft(_lag_table(g), axis=1), axis=1)
-    diag[0] = diag[0].real
-    if length % 2 == 0:
-        diag[-1, length // 2:] = diag[-1, :length // 2].conj()
-    idx = _half_lattice(length)
-    s = np.arange(length)
-    out = np.empty((length, length), dtype=np.complex128)
-    out[idx, s] = diag.conj()
-    out[s, idx] = diag
-    return out
+    return _hermitian_matrix(diag)
 
 
 def build_locop(symbol, windows: WindowSystem) -> LocOperator:
@@ -162,7 +151,7 @@ def build_locop(symbol, windows: WindowSystem) -> LocOperator:
     if np.iscomplexobj(f):
         matrix = matrix + 1j * _hermitian_locop(f.imag, windows)
     digest = hashlib.sha256(np.ascontiguousarray(f).tobytes()).hexdigest()[:16]
-    return LocOperator(matrix, windows, digest)
+    return LocOperator(matrix, symbol_hash=digest)
 
 
 def apply(op: LocOperator, psi) -> np.ndarray:

@@ -87,6 +87,22 @@ def test_impulse_then_deconvolve(tmp_path, circle):
     assert load_csv(tmp_path / "dec.csv").shape == (32, 32)
 
 
+def test_pgm_kernel_exits_2_and_writes_nothing(tmp_path, circle, capsys):
+    # impulse writes its PGM over (0, max); read back over (0, 1) it would
+    # rescale the deconvolved map by the kernel's maximum
+    assert run("impulse", "--mode", "analytic", "--size", 32,
+               "--out", tmp_path / "ker") == 0
+    assert run("recover", "--method", "gp", "--symbol", circle,
+               "--size", 32, "--out", tmp_path / "est") == 0
+    capsys.readouterr()
+    assert run("deconvolve", "--est", tmp_path / "est.csv",
+               "--kernel", tmp_path / "ker.pgm", "--eps", "1e-6",
+               "--out", tmp_path / "dec") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path / "ker.csv") in err
+    assert not list(tmp_path.glob("dec*"))
+
+
 def test_unstable_deconvolution_exits_3_and_writes_nothing(tmp_path, capsys):
     # at eps = 1e-14 the imaginary residue is 7.5e-4, far above 1e-6
     assert run("gen-symbol", "--kind", "circle", "--size", 64,

@@ -1,10 +1,15 @@
 """Discrete Gabor transform: Moyal, reconstruction, covariance, projection."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from locsym import (ValidationError, dgt, dgt_adjoint, make_gaussian_window,
-                    spectrogram, standard_basis, tf_shift)
+from locsym import (ValidationError, WindowSystem, build_locop, dgt,
+                    dgt_adjoint, gp_recover, impulse_kernel,
+                    make_gaussian_window, spectrogram, standard_basis,
+                    tf_shift)
 
 
 def random_signal(rng, length):
@@ -124,3 +129,23 @@ def test_size_mismatch_rejected():
         dgt(np.ones(8), make_gaussian_window(16))
     with pytest.raises(ValidationError):
         dgt_adjoint(np.zeros((8, 8)), make_gaussian_window(16))
+
+
+def test_no_index_table_is_kept():
+    # delays are strided views, so after the calls nothing of size L x L
+    # stays allocated; an int64 L x L table alone would be 8 MiB here.
+    # wawd and wigner are left out: they keep a cached lag spectrum
+    length = 1021
+    g = make_gaussian_window(length)
+    system = WindowSystem.single(g)
+    f = np.random.default_rng(0).uniform(0, 1, (length, length))
+    tracemalloc.start()
+    try:
+        gp_recover(build_locop(f, system), g)
+        impulse_kernel(system, g, mode="analytic")
+        dgt(g, g)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 2 ** 20

@@ -119,3 +119,21 @@ def test_build_locop_of_a_real_symbol_is_exactly_hermitian(length, count, seed):
     a = build_locop(rng.standard_normal((length, length)),
                     random_system(rng, length, count)).matrix
     np.testing.assert_array_equal(a, a.conj().T)
+
+
+@pytest.mark.parametrize("length", [32, 33, 64, 65])
+def test_build_locop_is_the_adjoint_of_the_lower_symbol(length):
+    # Re tr(A(f) M) = (1/L) <f, sum_k w_k <M pi(z) g_k, pi(z) g_k>> for
+    # Hermitian M; even L takes the Nyquist diagonal d = L/2 path.  The gap
+    # measures at most 3e-15 of |rhs| here; the bound, 1e-13 of the summed
+    # |terms|, leaves a wide margin for roundoff
+    rng = np.random.default_rng(length)
+    system = WindowSystem(np.array([0.2, 0.3, 0.5]),
+                          np.stack([random_window(rng, length) for _ in range(3)]))
+    f = rng.standard_normal((length, length))
+    m = random_matrix(rng, length)
+    m = m + m.conj().T
+    lhs = np.trace(build_locop(f, system).matrix @ m).real
+    symbol = sum(w * hermitian_symbol(m, g) for w, g in system)
+    terms = f * symbol / length
+    assert abs(lhs - terms.sum()) <= 1e-13 * np.abs(terms).sum()
