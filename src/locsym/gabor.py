@@ -64,22 +64,25 @@ def _half_lattice(length: int) -> np.ndarray:
     return _delays(np.arange(length))[:length // 2 + 1]
 
 
-def _lag_table(windows: np.ndarray, weights=None) -> np.ndarray:
+def _lag_table(windows: np.ndarray, weights=None, out=None) -> np.ndarray:
     """Diagonals d = 0..L//2 of S = sum_k w_k g_k g_k*.
 
     Row d is S[u, u - d] = sum_k w_k g_k[u] conj(g_k[(u - d) mod L]).
     With no ``weights``, ``windows`` is one window g and the table is its
-    lag product, the diagonals of g g*.  Otherwise ``windows`` holds one
-    window per row, added one at a time into a single buffer, so memory
-    does not grow with their number.  No BLAS call: BLAS threading runs
-    small complex products at a flat ~16 ms in some processes.
+    lag product, the diagonals of g g*, written into ``out`` if given.
+    Otherwise ``windows`` holds one window per row; each lag product is
+    written into one work buffer and added into the table, so memory does
+    not grow with their number.  No BLAS call: BLAS threading runs small
+    complex products at a flat ~16 ms in some processes.
     """
     if weights is not None:
         table = np.zeros(_half_lattice(windows.shape[1]).shape, dtype=complex)
+        work = np.empty_like(table)
         for w, g in zip(weights, windows):
-            table += w * _lag_table(g)
+            table += np.multiply(_lag_table(g, out=work), w, out=work)
         return table
-    return _delays(windows.conj())[:windows.size // 2 + 1] * windows
+    return np.multiply(_delays(windows.conj())[:windows.size // 2 + 1], windows,
+                       out=out)
 
 
 def _hermitian_rows(matrix: np.ndarray, length: int) -> np.ndarray:
@@ -104,6 +107,8 @@ def _hermitian_matrix(rows: np.ndarray) -> np.ndarray:
     The inverse of ``_hermitian_rows``.  Row 0, the main diagonal, is made
     real, and at even L the second half of row L/2 is made the conjugate
     of its first half, both in place, so H is Hermitian bit for bit.
+    ``rows`` is conjugated in place for the upper write and back for the
+    lower one, which lands last where the two meet.
     """
     length = rows.shape[1]
     rows[0] = rows[0].real
@@ -112,8 +117,8 @@ def _hermitian_matrix(rows: np.ndarray) -> np.ndarray:
     idx = _half_lattice(length)
     s = np.arange(length)
     out = np.empty((length, length), dtype=np.complex128)
-    out[idx, s] = rows.conj()
-    out[s, idx] = rows
+    out[idx, s] = np.conjugate(rows, out=rows)
+    out[s, idx] = np.conjugate(rows, out=rows)
     return out
 
 
@@ -128,11 +133,15 @@ def _symbol_of_half(rows: np.ndarray, lag_hat: np.ndarray) -> np.ndarray:
     yields L conj(C[d]), the input that ``irfft`` needs.  The map is
     linear in ``lag_hat``: a weighted sum of lag spectra gives the same
     weighted sum of symbols.
+
+    A complex ``rows`` is overwritten: both FFTs over s run in place in its
+    buffer.  A real ``rows`` is copied into a new complex one first.
     """
-    spec = np.fft.fft(rows, axis=1)
+    spec = np.fft.fft(rows, axis=1, out=rows if np.iscomplexobj(rows) else None)
     np.conjugate(spec, out=spec)
     spec *= lag_hat
-    return np.fft.irfft(np.fft.fft(spec, axis=1), n=rows.shape[1], axis=0).T
+    np.fft.fft(spec, axis=1, out=spec)
+    return np.fft.irfft(spec, n=rows.shape[1], axis=0).T
 
 
 @functools.lru_cache(maxsize=8)

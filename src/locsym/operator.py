@@ -121,13 +121,21 @@ def _hermitian_locop(f: np.ndarray, windows: WindowSystem) -> np.ndarray:
     Diagonal d is the circular convolution over time shift n of
     ifft_m f[n, d] with the lag product g[u] conj(g[u - d]), summed over
     the windows; ``ihfft`` gives ifft_m of a real f at d = 0..L//2 only.
+    Every window's term is formed in one work buffer, FFTs in place.
     ``_hermitian_matrix`` scatters the diagonals into an A that is
     Hermitian bit for bit.
     """
-    rows_hat = np.fft.fft(np.fft.ihfft(f, axis=1), axis=0).T
+    rows_hat = np.fft.ihfft(f, axis=1)
+    rows_hat = np.fft.fft(rows_hat, axis=0, out=rows_hat).T
     diag = np.zeros(rows_hat.shape, dtype=np.complex128)
+    work = np.empty_like(diag)
     for w, g in windows:
-        diag += w * np.fft.ifft(rows_hat * np.fft.fft(_lag_table(g), axis=1), axis=1)
+        np.fft.fft(_lag_table(g, out=work), axis=1, out=work)
+        work *= rows_hat
+        np.fft.ifft(work, axis=1, out=work)
+        work *= w
+        diag += work
+    del rows_hat, work  # freed before the scatter allocates A
     return _hermitian_matrix(diag)
 
 

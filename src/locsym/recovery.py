@@ -77,7 +77,8 @@ def _unit_window(phi) -> np.ndarray:
 def _psd_symbol(matrix: np.ndarray, phi: np.ndarray):
     """Lower symbol of a PSD matrix clipped at zero, and the clipped magnitude."""
     est = hermitian_symbol(matrix, phi)
-    return np.maximum(est, 0.0), max(0.0, -float(est.min()))
+    clip = max(0.0, -float(est.min()))
+    return np.maximum(est, 0.0, out=est), clip
 
 
 def wn_limit(spectrum: Spectrum, phi) -> np.ndarray:
@@ -117,31 +118,10 @@ def wn_recover(op: LocOperator, phi, draws: int, noise_var: float,
     if not 0 <= seed < 2 ** 64:
         raise ValidationError(f"seed must be in 0..2**64-1, got {seed}")
     length = op.size
-    scale = math.sqrt(noise_var / 2.0)
-    # Philox is counter-based: keying by (seed, k) gives independent
-    # substreams per realization, so results never depend on batching.
-    # One generator is rekeyed per draw by resetting it to a fresh state
-    # (counter 0, empty buffer) with key (seed, k); constructing a Philox
-    # per draw costs more than the draw.
-    bits = np.random.Philox(0)
-    rng = np.random.Generator(bits)
-    state = bits.state
-    key = state["state"]["key"]
-    gauss = np.empty((min(draws, _NOISE_BATCH), 2 * length))
-    covariance = np.zeros((length, length), dtype=np.complex128)
-    energy = 0.0
-    for lo in range(0, draws, _NOISE_BATCH):
-        hi = min(lo + _NOISE_BATCH, draws)
-        for k, row in zip(range(lo, hi), gauss):
-            key[:] = seed, k
-            bits.state = state
-            rng.standard_normal(out=row)
-        draw = gauss[:hi - lo]
-        noise = scale * (draw[:, :length] + 1j * draw[:, length:])
-        filtered = noise @ op.matrix.T
-        covariance += filtered.T @ filtered.conj()
-        energy += float(np.sum(noise.real ** 2 + noise.imag ** 2))
-    avg, clip = _psd_symbol(covariance / draws, phi)
+    covariance, energy = _noise_covariance(op.matrix, draws,
+                                           math.sqrt(noise_var / 2.0), seed)
+    covariance /= draws
+    avg, clip = _psd_symbol(covariance, phi)
     noise_var_hat = energy / (draws * length)
     meta = {
         "draws": draws,
@@ -152,6 +132,47 @@ def wn_recover(op: LocOperator, phi, draws: int, noise_var: float,
         "psd_clip": clip / noise_var_hat,
     }
     return RecoveryResult(avg / noise_var_hat, "wn", meta)
+
+
+def _noise_covariance(matrix: np.ndarray, draws: int, scale: float, seed: int):
+    """sum_k (A x_k)(A x_k)* over the noise draws x_k, and sum_k |x_k|^2.
+
+    Draw k is ``scale`` (re + 1j im) with re, im the 2L standard normals of
+    substream (seed, k).  Draws go through the operator in batches of
+    _NOISE_BATCH rows.  The batch buffers are allocated once per call and
+    freed on return, before the caller forms the symbol.
+    """
+    length = matrix.shape[0]
+    # Philox is counter-based: keying by (seed, k) gives independent
+    # substreams per realization, so results never depend on batching.
+    # One generator is rekeyed per draw by resetting it to a fresh state
+    # (counter 0, empty buffer) with key (seed, k); constructing a Philox
+    # per draw costs more than the draw.
+    bits = np.random.Philox(0)
+    rng = np.random.Generator(bits)
+    state = bits.state
+    key = state["state"]["key"]
+    gauss = np.empty(2 * length)
+    noise = np.empty((min(draws, _NOISE_BATCH), length), dtype=np.complex128)
+    filtered = np.empty_like(noise)
+    product = np.empty((length, length), dtype=np.complex128)
+    covariance = np.zeros_like(product)
+    energy = 0.0
+    for lo in range(0, draws, _NOISE_BATCH):
+        count = min(_NOISE_BATCH, draws - lo)
+        block, image = noise[:count], filtered[:count]
+        for k, row in zip(range(lo, lo + count), block):
+            key[:] = seed, k
+            bits.state = state
+            rng.standard_normal(out=gauss)
+            np.multiply(gauss[:length], scale, out=row.real)
+            np.multiply(gauss[length:], scale, out=row.imag)
+        energy += float(np.sum(block.real ** 2 + block.imag ** 2))
+        np.matmul(block, matrix.T, out=image)
+        # the noise is spent: its rows take the conjugate of the images
+        covariance += np.matmul(image.T, np.conjugate(image, out=block),
+                                out=product)
+    return covariance, energy
 
 
 def _truncation(spectrum: Spectrum, terms: int):
@@ -225,8 +246,10 @@ def pt_recover(op: LocOperator, basis, phi) -> RecoveryResult:
         if family.shape[1] != op.size:
             raise ValidationError("basis length does not match operator size")
         gram = family @ family.conj().T
-        if np.max(np.abs(gram - np.eye(family.shape[0]))) > 1e-8:
+        gram[np.diag_indices_from(gram)] -= 1.0
+        if np.max(np.abs(gram)) > 1e-8:
             raise ValidationError("basis must be orthonormal within 1e-8")
+        del gram  # freed before B B* is formed
         if len(family) < op.size:
             images = images @ family.T
     out, clip = _psd_symbol(images @ images.conj().T, phi)
@@ -299,7 +322,9 @@ def impulse_kernel(windows: WindowSystem, phi, mode: str = "analytic",
     if mode == "analytic":
         kernel = _symbol_of_half(_lag_table(windows.windows, windows.weights),
                                  np.fft.fft(_lag_table(phi), axis=1))
-        return np.maximum(kernel, 0.0) / length
+        np.maximum(kernel, 0.0, out=kernel)
+        kernel /= length
+        return kernel
     if mode != "measured":
         raise ValidationError(f"unknown impulse mode {mode!r}")
     if estimator not in IMPULSE_ESTIMATORS:
@@ -307,6 +332,13 @@ def impulse_kernel(windows: WindowSystem, phi, mode: str = "analytic",
     delta = np.zeros((length, length))
     delta[0, 0] = 1.0
     return recover(estimator, build_locop(delta, windows), phi).estimate
+
+
+def _spectrum(grid: np.ndarray) -> np.ndarray:
+    """2-d FFT of a real or complex map, computed in place in one complex copy."""
+    spec = np.empty(grid.shape, dtype=np.complex128)
+    spec[...] = grid
+    return np.fft.fftn(spec, out=spec)
 
 
 def deconvolve(estimate, kernel, eps: float) -> np.ndarray:
@@ -319,27 +351,36 @@ def deconvolve(estimate, kernel, eps: float) -> np.ndarray:
     amplified by about ``1 / eps``.  On a zero-free kernel spectrum, one
     with every bin above ``eps * peak``, that projection is ``f`` itself;
     larger eps degrades gracefully into a band-limited projection.
+
+    A non-finite entry in either map, such as the NaN sentinels of a
+    region-restricted gp estimate, raises ValidationError.
     """
-    est = np.asarray(estimate, dtype=np.complex128)
-    ker = np.asarray(kernel, dtype=np.complex128)
+    est, ker = np.asarray(estimate), np.asarray(kernel)
     if est.shape != ker.shape or est.ndim != 2:
         raise ValidationError("estimate and kernel must be equal-shape 2-d maps")
     if not 0 < eps < 1:
         raise ValidationError(f"eps must lie in (0, 1), got {eps}")
-    ker_hat = np.fft.fft2(ker)
-    ker_mag = np.abs(ker_hat)
-    peak = float(np.max(ker_mag))
+    for name, m in (("estimate", est), ("kernel", ker)):
+        if not np.all(np.isfinite(m)):
+            raise ValidationError(
+                f"{name} has non-finite entries; deconvolve needs a full map "
+                "(a region-restricted gp estimate holds NaN sentinels)")
+    ker_hat = _spectrum(ker)
+    mag = np.abs(ker_hat)
+    peak = float(np.max(mag))
     if peak == 0.0:
         raise DegenerateKernelError("kernel has no spectral content")
-    mask = ker_mag > eps * peak
-    ratio = np.zeros_like(ker_hat)
-    np.divide(np.fft.fft2(est), ker_hat, out=ratio, where=mask)
-    out = np.fft.ifft2(ratio)
+    mask = mag > eps * peak
+    spec = _spectrum(est)
+    np.divide(spec, ker_hat, out=spec, where=mask)
+    del ker_hat  # freed before the real copy is made
+    spec[~mask] = 0.0
+    np.fft.ifftn(spec, out=spec)  # not ifft2, which ignores out= in numpy 2.4
     # the residue sits near 1e-8 when eps rides the kernel's noise floor;
     # an order of magnitude above that the division is noise-dominated
-    residue = float(np.max(np.abs(out.imag)))
-    if residue > 1e-6 * max(1.0, float(np.max(np.abs(out.real)))):
+    residue = float(np.max(np.abs(spec.imag, out=mag)))
+    if residue > 1e-6 * max(1.0, float(np.max(np.abs(spec.real, out=mag)))):
         raise NumericalError(
             f"deconvolution unstable: imaginary residue {residue:.3e}; raise eps"
         )
-    return out.real
+    return spec.real.copy()

@@ -103,6 +103,22 @@ def test_pgm_kernel_exits_2_and_writes_nothing(tmp_path, circle, capsys):
     assert not list(tmp_path.glob("dec*"))
 
 
+def test_region_estimate_exits_2_and_writes_nothing(tmp_path, circle, capsys):
+    # outside its region a --region estimate holds NaN sentinels, which the
+    # spectral division spreads over all 1024 entries
+    assert run("recover", "--method", "gp", "--symbol", circle, "--size", 32,
+               "--region", "4,4,20,20", "--out", tmp_path / "est") == 0
+    assert run("impulse", "--mode", "analytic", "--size", 32,
+               "--out", tmp_path / "ker") == 0
+    capsys.readouterr()
+    assert run("deconvolve", "--est", tmp_path / "est.csv",
+               "--kernel", tmp_path / "ker.csv", "--eps", "1e-6",
+               "--out", tmp_path / "dec") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "NaN sentinels" in err
+    assert not list(tmp_path.glob("dec*"))
+
+
 def test_unstable_deconvolution_exits_3_and_writes_nothing(tmp_path, capsys):
     # at eps = 1e-14 the imaginary residue is 7.5e-4, far above 1e-6
     assert run("gen-symbol", "--kind", "circle", "--size", 64,

@@ -633,3 +633,24 @@ class TestDeconvolve:
         for eps in (0.0, 1.0, -0.1, 2.0):
             with pytest.raises(ValidationError):
                 deconvolve(np.ones((8, 8)), delta, eps)
+
+    def test_rejects_a_region_estimate_or_a_non_finite_kernel(self):
+        # a region-restricted gp estimate is NaN outside its region; the
+        # spectral division would spread that NaN over the whole map
+        L = 32
+        g, ws, _, op = gauss_setup(L, seed=23)
+        region = [(n, m) for n in range(4, 21) for m in range(4, 21)]
+        kernel = impulse_kernel(ws, g)
+        with pytest.raises(ValidationError, match="NaN sentinels"):
+            deconvolve(gp_recover(op, g, region).estimate, kernel, 1e-6)
+        kernel[3, 5] = np.inf
+        with pytest.raises(ValidationError, match="kernel has non-finite"):
+            deconvolve(gp_recover(op, g).estimate, kernel, 1e-6)
+
+    def test_returns_a_real_map_of_its_own(self):
+        # not a .real view, which would keep the complex spectrum alive
+        rng = np.random.default_rng(24)
+        delta = np.zeros((16, 16))
+        delta[0, 0] = 1.0
+        out = deconvolve(rng.standard_normal((16, 16)), delta, 1e-9)
+        assert out.dtype == np.float64 and out.flags.owndata
