@@ -15,6 +15,16 @@ rules.  A value that is not finite, lies outside 1e-270..1e270, whose
 scaled product is within 1e-6 of a rounding tie, or whose digits do not
 come out as a 17-digit integer is formatted on its own by Python's
 ``'%.17g' %``, so no digit depends on the approximation.
+
+Each value is staged in 32 bytes: a lead word ("-", "0.000", d0, "."),
+d1..d16 as four 4-digit table words, and one word for the exponent and the
+separator; a byte mask per layout keeps the characters the value shows.  A
+point inside the digits (fixed notation with 1 <= k <= 15) comes from
+shifting d1..dk one byte left over the lead ".", once per k and only on the
+rows that need it.  One call allocates its work buffers once (0.6 MB) and
+every block is formatted in them, each step writing through ``out=``; a
+fresh temporary per step costs more in page faults than the arithmetic.
+The lookup tables are built on the first call and kept.
 """
 
 from __future__ import annotations
@@ -105,12 +115,15 @@ def save_pgm(grid, path, value_range=(0.0, 1.0)):
     f = np.asarray(grid, dtype=np.float64)
     if f.ndim != 2 or f.shape[0] != f.shape[1]:
         raise ValidationError(f"map must be square, got {f.shape}")
-    f = np.nan_to_num(f, nan=lo, posinf=hi, neginf=lo)
-    f = np.clip(f, lo, hi)
-    gray = np.round((f - lo) / (hi - lo) * PGM_MAXVAL).astype(">u2")
+    f = np.nan_to_num(f, nan=lo, posinf=hi, neginf=lo)  # the one work copy
+    np.clip(f, lo, hi, out=f)
+    f -= lo
+    f /= hi - lo
+    f *= PGM_MAXVAL
+    gray = np.round(f, out=f).astype(">u2", order="C")
     with open(path, "wb") as fh:
         fh.write(f"P5\n{f.shape[1]} {f.shape[0]}\n{PGM_MAXVAL}\n".encode())
-        fh.write(gray.tobytes())
+        fh.write(gray)
 
 
 # --- %.17g text, formatted a block at a time --------------------------------
@@ -122,14 +135,15 @@ _P_MIN, _P_MAX = -260, 290
 _SPLIT = 134217729.0  # 2**27 + 1
 _A_MIN, _A_MAX = 1e-270, 1e270  # |x| whose 16 - k stays in the table
 _K_MIN = -300  # tables indexed by k cover k in [_K_MIN, -_K_MIN)
-_BLOCK = 4096  # values per pass: fastest at L = 255..512, 0.2 MB staged
+_BLOCK = 4096  # values per pass; a call's work buffers are then 0.6 MB
 
-# Each value is staged in 48 bytes holding, in output order, every character
-# its %.17g text can need: "-", "0.000" (as in 0.000ddd), NUL, d0, "." before
-# each of d1..d16, "e", the exponent's sign and three digits, the separator,
-# NUL, NUL.  A byte mask per layout then keeps the characters the value uses.
-_WIDTH, _SEP = 48, 45
-_DIGIT = [7 + 2 * i for i in range(17)]  # byte of d0..d16
+# The 32 staged bytes of a value, in output order: 0 "-", 1..5 "0.000",
+# 6 d0, 7 ".", 8..23 d1..d16, 24 "e", 25 the exponent's sign, 26..28 its
+# three digits, 29 the separator, 30..31 NUL.
+_WIDTH, _SEP = 32, 29
+_D0, _D1 = 6, 8  # bytes of d0 and d1; di is byte 7 + i for i >= 1
+_MOVE = 31  # a mask byte that holds k when the point goes after dk
+_NEG = 23 * 17  # layout offset of a negative value
 
 
 def _pow10_table() -> np.ndarray:
@@ -156,13 +170,17 @@ def _masks() -> np.ndarray:
     for neg, form, nd in itertools.product(range(2), range(23), range(1, 18)):
         k = form - 4
         keep = [0] * neg + [_SEP]
-        if form > 20:  # d0[.d1..]e+dd
-            keep += _DIGIT[:nd] + [_DIGIT[0] + 1] * (nd > 1)
-            keep += [40, 41, 43, 44] + [42] * (form == 22)  # e+[h]tu
-        elif k >= 0:  # d0..dk[.dk+1..]
-            keep += _DIGIT[:max(nd, k + 1)] + [_DIGIT[k] + 1] * (nd > k + 1)
+        digits = list(range(_D1, _D1 + nd - 1))  # d1..d[nd-1]
+        if form > 20:  # d0[.d1..]e+[h]tu
+            keep += [_D0] + [_D0 + 1] * (nd > 1) + digits + [24, 25, 27, 28]
+            keep += [26] * (form == 22)
+        elif nd > k + 1 >= 1:  # d0..dk.dk+1..
+            keep += [_D0, _D0 + 1] + digits
+            masks[neg, form, nd - 1, _MOVE] = k
+        elif k >= 0:  # d0..dk
+            keep += [_D0] + list(range(_D1, _D1 + k))
         else:  # 0.[000]d0..
-            keep += [1, 2] + list(range(3, 2 - k)) + _DIGIT[:nd]
+            keep += list(range(1, 2 - k)) + [_D0] + digits
         masks[neg, form, nd - 1, keep] = 0xFF
     return masks.reshape(-1, _WIDTH).view("<u8")
 
@@ -170,66 +188,127 @@ def _masks() -> np.ndarray:
 @functools.cache
 def _tables() -> tuple:
     """The formatter's lookup tables, built on the first ``save_csv``."""
-    lead = np.frombuffer(b"".join(b"-0.000\0%d" % d for d in range(10)), "<u8")
-    chunk = np.arange(10000)  # 4-digit chunks of d1..d16, as ".d.d.d.d" words
-    digits4 = np.full((10000, 8), ord("."), dtype=np.uint8)
-    digits4[:, 1::2] = ord("0") + chunk[:, None] // [1000, 100, 10, 1] % 10
-    trailing0 = sum(chunk % 10 ** j == 0 for j in range(1, 5))  # 4 for 0000
+    lead = np.frombuffer(b"".join(b"-0.000%d." % d for d in range(10)), "<u8")
+    chunk = np.arange(10000, dtype=np.uint32)  # 4-digit chunks of d1..d16
+    digits4 = np.zeros(10000, dtype="<u4")  # their text, one word each
+    last = np.zeros((4, 10000), dtype=np.uint8)  # last nonzero digit's place
+    digit = np.empty_like(chunk)
+    for place in range(1, 5):  # in byte place - 1 of the word
+        np.floor_divide(chunk, 10 ** (4 - place), out=digit)
+        digit %= 10
+        np.copyto(last[0], place, where=digit != 0)
+        digit += ord("0")
+        digit <<= 8 * (place - 1)
+        digits4 |= digit
+    for i in range(1, 4):  # places in d1..d16 of the (i+1)-th chunk
+        np.add(last[0], 4 * i, out=last[i], where=last[0] != 0)
     ks = range(_K_MIN, -_K_MIN)
-    exp = np.frombuffer(b"".join(b"e%+04d\0\0\0" % k for k in ks), "<u8")
-    form = np.array([k + 4 if -4 <= k <= 16 else 21 + (abs(k) >= 100)
-                     for k in ks])
-    return (_pow10_table(), lead, digits4.view("<u8").ravel(), trailing0,
-            exp, form, _masks())
+    exp = np.frombuffer(b"".join(b"e%+04d,\0\0" % k for k in ks), "<u8")
+    form = [k + 4 if -4 <= k <= 16 else 21 + (abs(k) >= 100) for k in ks]
+    layout0 = np.array(form, dtype=np.intp) * 17
+    return _pow10_table(), lead, digits4, last, exp, layout0, _masks()
 
 
-def _format_block(x: np.ndarray, ncol: int) -> bytes:
-    """``%.17g`` CSV lines of ``x``, a flat block of whole rows of ``ncol``."""
-    pow10, lead, digits4, trailing0, exp, form, masks = _tables()
-    a = np.abs(x)
-    exact = (a >= _A_MIN) & (a < _A_MAX)
-    a = np.where(exact, a, 1.0)
-    k = np.floor(np.log10(a)).astype(np.intp)
-    head, tail, lo = (np.take(row, 16 - k - _P_MIN) for row in pow10)
-    hi = a * (head + tail)
+def _work_buffers(size: int) -> tuple:
+    """The arrays ``_format_block`` works in, for blocks of up to ``size``."""
+    return (np.empty(size), np.empty((12, size)),
+            np.empty((3, size), dtype=bool), np.empty((2, size), dtype=np.uint8),
+            np.empty(size, dtype="<u4"), np.empty(size, dtype="<u8"),
+            np.empty((size, _WIDTH), dtype=np.uint8))
+
+
+def _format_block(block: np.ndarray, tables: tuple, work: tuple) -> bytes:
+    """``%.17g`` CSV lines of the rows of ``block``.
+
+    ``tables`` are ``_tables()``.  Every array is a view of ``work`` (see
+    ``_work_buffers``), and every step writes into one.
+    """
+    pow10, lead, digits4, last, exp, layout0, masks = tables
+    n, ncol = block.size, block.shape[1]
+    x, bank, flags, places, digits, word, staged = work
+    x = x[:n]
+    np.copyto(x.reshape(block.shape), block)
+    a, a_head, a_tail, head, tail, lo, hi, err = bank[:8, :n]
+    k, idx, below, d = bank[8:, :n].view(np.intp)
+    exact, flag, nonzero = flags[:, :n]
+    nd, place = places[:, :n]
+    digits, word, staged = digits[:n], word[:n], staged[:n]
+
+    np.abs(x, out=a)
+    np.greater_equal(a, _A_MIN, out=exact)
+    exact &= np.less(a, _A_MAX, out=flag)
+    np.fmin(np.fmax(a, _A_MIN, out=a), _A_MAX, out=a)  # nan to _A_MIN
+    np.floor(np.log10(a, out=err), out=err)
+    np.copyto(k, err, casting="unsafe")
+    np.subtract(16 - _P_MIN, k, out=idx)
+    for row, out in zip(pow10, (head, tail, lo)):
+        np.take(row, idx, out=out, mode="clip")
+    np.multiply(a, np.add(head, tail, out=hi), out=hi)
     # a * 10**p - hi to ~1e-15: Dekker's exact product error, plus a * lo
-    a_head = _SPLIT * a - (_SPLIT * a - a)
-    a_tail = a - a_head
-    err = (((a_head * head - hi) + a_head * tail + a_tail * head)
-           + a_tail * tail + a * lo)
-    whole = np.floor(err)
-    frac = err - whole
-    below = hi.astype(np.int64) + whole.astype(np.int64)  # hi >= 2**53 is whole
-    d = below + (frac > 0.5)
+    np.multiply(a, _SPLIT, out=a_head)
+    np.subtract(a_head, a, out=a_tail)
+    np.subtract(a_head, a_tail, out=a_head)
+    np.subtract(a, a_head, out=a_tail)
+    np.multiply(a_head, head, out=err)
+    err -= hi
+    err += np.multiply(a_head, tail, out=a_head)
+    err += np.multiply(a_tail, head, out=head)
+    err += np.multiply(a_tail, tail, out=tail)
+    err += np.multiply(a, lo, out=lo)
+    whole = np.floor(err, out=head)
+    frac = np.subtract(err, whole, out=err)
+    np.copyto(below, hi, casting="unsafe")  # hi >= 2**53 is whole
+    np.copyto(d, whole, casting="unsafe")
+    below += d
+    np.add(below, np.greater(frac, 0.5, out=flag), out=d)
     # fall back near a rounding tie, and where D is not 17 digits: k was
     # misjudged by log10, or |x| rounds up to a power of ten (as 1e-14 does)
-    exact &= (np.abs(frac - 0.5) > 1e-6) & (below >= 10 ** 16) & (d < 10 ** 17)
-    zero = x == 0.0
-    d[zero] = 0
-    k[zero] = 0
+    frac -= 0.5
+    exact &= np.greater(np.abs(frac, out=frac), 1e-6, out=flag)
+    exact &= np.greater_equal(below, 10 ** 16, out=flag)
+    exact &= np.less(d, 10 ** 17, out=flag)
+    np.not_equal(x, 0.0, out=nonzero)  # 0 and -0 are D = 0, k = 0
+    d *= nonzero
+    k *= nonzero
 
-    high, low = (part.astype(np.int32) for part in np.divmod(d, 10 ** 8))
-    c1, c2 = np.divmod(high % 10 ** 8, 10 ** 4)
-    c3, c4 = np.divmod(low, 10 ** 4)
-    staged = np.empty((x.size, _WIDTH // 8), dtype="<u8")
-    staged[:, 0] = lead[high // 10 ** 8]
-    staged[:, 1] = digits4[c1]
-    staged[:, 2] = digits4[c2]
-    staged[:, 3] = digits4[c3]
-    staged[:, 4] = digits4[c4]
-    staged[:, 5] = exp[k - _K_MIN]
-    sep = staged.view(np.uint8)[:, _SEP].reshape(-1, ncol)
-    sep[:] = ord(",")
-    sep[:, -1] = ord("\n")
+    # D = d0 c1 c2 c3 c4, the c's the 4-digit chunks of d1..d16, kept in
+    # the float rows, which are free now
+    chunks = bank[:4, :n].view(np.intp)
+    c1, c2, c3, c4 = chunks
+    np.floor_divide(d, 10 ** 8, out=below)
+    d -= np.multiply(below, 10 ** 8, out=idx)
+    np.floor_divide(d, 10 ** 4, out=c3)
+    np.subtract(d, np.multiply(c3, 10 ** 4, out=c4), out=c4)
+    np.floor_divide(below, 10 ** 4, out=c1)
+    np.subtract(below, np.multiply(c1, 10 ** 4, out=c2), out=c2)
+    np.floor_divide(c1, 10 ** 4, out=idx)
+    c1 -= np.multiply(idx, 10 ** 4, out=below)
+    words, words4 = staged.view("<u8"), staged.view("<u4")
+    words[:, 0] = np.take(lead, idx, out=word, mode="clip")
+    np.take(last[0], c1, out=nd, mode="clip")
+    for col, (c, table) in enumerate(zip(chunks, last), 2):
+        words4[:, col] = np.take(digits4, c, out=digits, mode="clip")
+        np.maximum(nd, np.take(table, c, out=place, mode="clip"), out=nd)
+    np.subtract(k, _K_MIN, out=idx)  # the row of k in the k tables
+    words[:, 3] = np.take(exp, idx, out=word, mode="clip")
+    staged[ncol - 1::ncol, _SEP] = ord("\n")
 
-    zeros = trailing0[c4]
-    zeros += (zeros == 4) * trailing0[c3]
-    zeros += (zeros == 8) * trailing0[c2]
-    zeros += (zeros == 12) * trailing0[c1]
-    layout = (np.signbit(x) * 23 + form[k - _K_MIN]) * 17 + 16 - zeros
-    staged &= masks[layout]
-    staged = staged.view(np.uint8)
-    for i in np.flatnonzero(~(exact | zero)):
+    layout = np.take(layout0, idx, out=d, mode="clip")
+    layout += np.multiply(np.signbit(x, out=flag), _NEG, out=below)
+    layout += nd  # the significant digits less one
+    keep = bank[4:8].ravel()[:4 * n].view("<u8").reshape(n, 4)  # free rows
+    words &= np.take(masks, layout, axis=0, out=keep, mode="clip")
+    moves = keep.view(np.uint8)[:, _MOVE]
+    inner = np.flatnonzero(moves)
+    if inner.size:  # put the point after dk, one k at a time
+        ks = moves[inner]
+        for kv in map(int, np.unique(ks)):
+            rows = inner[ks == kv]
+            part = staged[rows]
+            part[:, _D0 + 1:_D1 + kv - 1] = part[:, _D1:_D1 + kv]
+            part[:, _D1 + kv - 1] = ord(".")
+            staged[rows] = part
+    for i in np.flatnonzero(nonzero > exact):
         text = ("%.17g" % x[i]).encode() + staged[i, _SEP:_SEP + 1].tobytes()
         staged[i] = 0
         staged[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
@@ -251,9 +330,10 @@ def save_csv(grid, path):
             fh.write(b"\n" * nrow)
             return
         rows = max(1, _BLOCK // ncol)
+        tables = _tables()  # first, so that kept tables sit below the buffers
+        work = _work_buffers(min(rows, nrow) * ncol)
         for start in range(0, nrow, rows):
-            block = np.ascontiguousarray(f[start:start + rows]).ravel()
-            fh.write(_format_block(block, ncol))
+            fh.write(_format_block(f[start:start + rows], tables, work))
 
 
 def load_csv(path) -> np.ndarray:

@@ -24,6 +24,7 @@ from .errors import NotSelfAdjointError, ValidationError
 from .gabor import _hermitian_matrix, _lag_table
 
 HERMITIAN_REJECT_TOL = 1e-6
+_ASYM_BLOCK = 4096  # entries per block of rows in the asymmetry check
 
 _DUMP_MAGIC = b"LOCOP1"
 
@@ -174,17 +175,29 @@ def hermitian_part(op: LocOperator) -> np.ndarray:
     """(h + h*) / 2 of an operator that is Hermitian up to roundoff.
 
     Raises NotSelfAdjointError when the asymmetry max |h - h*| exceeds
-    HERMITIAN_REJECT_TOL.
+    HERMITIAN_REJECT_TOL.  The asymmetry is taken a block of rows at a
+    time, and the result is the only L x L array made.
     """
     h = op.matrix
-    h_adj = h.conj().T
-    asym = np.max(np.abs(h - h_adj))
+    size = h.shape[0]
+    rows = max(1, _ASYM_BLOCK // max(size, 1))
+    diff = np.empty((min(rows, size), size), dtype=h.dtype)
+    mag = np.empty(diff.shape)
+    asym = 0.0
+    for i in range(0, size, rows):
+        j = min(i + rows, size)
+        block = np.conjugate(h[:, i:j].T, out=diff[:j - i])
+        np.subtract(h[i:j], block, out=block)
+        asym = max(asym, float(np.max(np.abs(block, out=mag[:j - i]))))
     if asym > HERMITIAN_REJECT_TOL:
         raise NotSelfAdjointError(
             f"operator asymmetry {asym:.3e} exceeds {HERMITIAN_REJECT_TOL}; "
             "complex symbol or invalid window system?"
         )
-    return (h + h_adj) / 2
+    herm = np.conjugate(h.T, out=np.empty_like(h))
+    herm += h  # h* + h has the bits of h + h*
+    herm /= 2  # not *= 0.5: complex division signs its zeros differently
+    return herm
 
 
 def eigendecompose(op: LocOperator) -> Spectrum:
@@ -219,8 +232,9 @@ def load_locop(path) -> LocOperator:
         (length,) = struct.unpack("<I", header[8:12])
         if os.fstat(fh.fileno()).st_size != 16 + 16 * length * length:
             raise ValidationError(f"{path}: file size does not match L = {length}")
-        data = np.frombuffer(fh.read(), dtype="<c16")
+        data = np.fromfile(fh, dtype="<c16", count=length * length)
+    matrix = data.reshape(length, length).astype(np.complex128, copy=False)
     try:
-        return LocOperator(data.reshape(length, length).astype(np.complex128))
+        return LocOperator(matrix)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc

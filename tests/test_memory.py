@@ -8,8 +8,9 @@ import pytest
 
 from locsym import (SymbolSpec, WindowSystem, build_locop, deconvolve,
                     eigendecompose, gen_symbol, gp_recover, hermite_system,
-                    impulse_kernel, make_gaussian_window, pt_recover,
-                    standard_basis, was_recover, wawd_recover, wn_recover)
+                    impulse_kernel, load_locop, make_gaussian_window,
+                    pt_recover, save_csv, save_locop, save_pgm, standard_basis,
+                    was_recover, wawd_recover, wn_recover)
 
 L = 256
 UNIT = L * L * 16  # bytes of one dense complex L x L matrix
@@ -18,7 +19,11 @@ UNIT = L * L * 16  # bytes of one dense complex L x L matrix
 # made outside the call.  Measured with numpy 2.4 at 1.77, 1.51, 1.51, 2.57,
 # 2.51, 3.02 and 3.51; each bound adds a quarter of a unit.  Before each
 # kernel built its work buffers once, the peaks were 2.65, 2.52, 2.52, 6.57,
-# 4.52, 4.27 and 6.02.
+# 4.52, 4.27 and 6.02.  The file and spectrum layers, measured the same way
+# at 0.87 (save_csv), 0.81 (save_pgm), 1.07 (load_locop) and 1.22
+# (eigendecompose), were 1.18, 1.50, 2.07 and 2.50 before they reused one
+# set of buffers per call, read the dump once and formed the Hermitian part
+# in one array.
 PEAK_BOUNDS = {
     "build_locop": 2.0,
     "gp_recover": 1.75,
@@ -27,12 +32,17 @@ PEAK_BOUNDS = {
     "pt_standard": 2.75,
     "pt_hermite": 3.25,
     "wn_128": 3.75,
+    "save_csv": 1.12,
+    "save_pgm": 1.06,
+    "load_locop": 1.32,
+    "eigendecompose": 1.47,
 }
 
 
 @pytest.fixture(scope="module")
-def apply_calls():
-    """The apply-only path at L = 256: a circle over gauss + hermite:1."""
+def apply_calls(tmp_path_factory):
+    """The apply-only path at L = 256: a circle over gauss + hermite:1, and
+    the file and spectrum layers around it."""
     windows = WindowSystem.from_pairs([(0.5, make_gaussian_window(L)),
                                        (0.5, hermite_system(L, 2)[1])])
     phi = windows.windows[0]
@@ -42,6 +52,8 @@ def apply_calls():
     kernel = impulse_kernel(windows, phi)
     standard = standard_basis(L)
     hermite = hermite_system(L, L // 2, (L // 2, L // 2))
+    out = tmp_path_factory.mktemp("memory")
+    save_locop(op, out / "op.locop")
     return {
         "build_locop": lambda: build_locop(f, windows),
         "gp_recover": lambda: gp_recover(op, phi),
@@ -50,6 +62,10 @@ def apply_calls():
         "pt_standard": lambda: pt_recover(op, standard, phi),
         "pt_hermite": lambda: pt_recover(op, hermite, phi),
         "wn_128": lambda: wn_recover(op, phi, 128, 1.0, 3),
+        "save_csv": lambda: save_csv(est, out / "est.csv"),
+        "save_pgm": lambda: save_pgm(est, out / "est.pgm"),
+        "load_locop": lambda: load_locop(out / "op.locop"),
+        "eigendecompose": lambda: eigendecompose(op),  # eigh is deferred
     }
 
 

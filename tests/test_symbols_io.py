@@ -1,6 +1,7 @@
 """Symbol generation and PGM/CSV round trips."""
 
 import io
+import itertools
 import math
 
 import numpy as np
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from locsym import (PgmError, SymbolSpec, ValidationError, gaussian_blur,
-                    gen_symbol, load_csv, load_pgm, save_csv, save_pgm)
+from locsym import (PgmError, SymbolSpec, ValidationError, WindowSystem,
+                    build_locop, gaussian_blur, gen_symbol, gp_recover,
+                    hermite_system, impulse_kernel, load_csv, load_pgm,
+                    make_gaussian_window, save_csv, save_pgm, wn_recover)
 
 
 class TestGeneration:
@@ -198,6 +201,31 @@ def csv_maps(draw, square=False):
     return np.resize(np.array(values, dtype=np.float64), (nrow, ncol))
 
 
+# a value of each fallback class: not finite, outside 1e-270..1e270 (the
+# ends of the float64 range included), a rounding tie in the 17th digit, and
+# digits that do not come out as a 17-digit integer (log10 misjudges k just
+# below a power of ten; 1e-14 and 1e98 round up to one)
+FALLBACKS = [np.nan, np.inf, -np.inf, 1e-300, -1e300, 1e270, 9e-271,
+             5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+             17592186044416.0625, -0.0625 * (2 ** 48 + 3),
+             9.9999999999999995e-5, 1e-14, -1e98, 1e-243, 1e220]
+
+
+def exact_decimal(k, nd):
+    """A double at decimal exponent k whose %.17g shows nd significant
+    digits, where such a double exists (else a nearby double)."""
+    e = k - nd + 1  # the exponent of the last digit
+    if e >= 0:
+        return float(int("12345678912345678"[:nd]) * 10 ** e)
+    q = -(-10 ** (nd - 1) // 5 ** -e) | 1  # odd, so q 5^-e ends in a 5
+    return q / 2 ** -e  # = q 5^-e 10^e, with nd digits when it fits
+
+
+def significant_digits(text):
+    digits = text.split(b"e")[0].replace(b".", b"").lstrip(b"0")
+    return len(digits.rstrip(b"0")) or 1
+
+
 class TestCsv:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -248,6 +276,49 @@ class TestCsv:
         back = load_csv(path)
         assert np.isnan(back[2, 3])
         assert np.array_equal(back, f, equal_nan=True)
+
+    def test_every_layout_and_fallback_over_many_blocks(self, tmp_path):
+        # L = 256 is 16 formatting blocks of 16 rows.  Its first rows hold
+        # both signs of a value at each exponent k with each count of
+        # significant digits that a double can show there, the zeros and
+        # every fallback class; random values fill the rest.
+        size = 256
+        values = [0.0, -0.0, *FALLBACKS]
+        for k, nd in itertools.product(range(-7, 23), range(1, 18)):
+            values += [exact_decimal(k, nd), -exact_decimal(k, nd)]
+        for k in (-269, -150, -100, 100, 150, 269):  # three exponent digits
+            values += [1.5 * 10.0 ** k, -(10.0 ** k) / 3]
+        rng = np.random.default_rng(24)
+        rest = size * size - len(values)
+        random = rng.standard_normal(rest) * 10.0 ** rng.uniform(-20, 20, rest)
+        f = np.concatenate([values, random]).reshape(size, size)
+        path = tmp_path / "layouts.csv"
+        save_csv(f, path)
+        expected = savetxt_bytes(f)
+        assert path.read_bytes() == expected
+        texts = expected[:len(values) * 26].replace(b"\n", b",").split(b",")
+        texts = [t.lstrip(b"-") for t in texts[:len(values)]]
+        shown = {significant_digits(t) for t in texts if t[:1].isdigit()}
+        assert shown >= set(range(1, 18))
+        points = {t.index(b".") for t in texts
+                  if b"." in t and b"e" not in t and not t.startswith(b"0.")}
+        assert points >= set(range(2, 17))  # the point after d1 .. d15
+        assert any(b"e-1" in t and len(t.split(b"e")[1]) == 4 for t in texts)
+
+    def test_real_maps_write_the_bytes_of_savetxt(self, tmp_path):
+        size = 256
+        windows = WindowSystem.from_pairs([(0.5, make_gaussian_window(size)),
+                                           (0.5, hermite_system(size, 2)[1])])
+        phi = windows.windows[0]
+        op = build_locop(gen_symbol(SymbolSpec("star", size, {}, (-1.0, 1.0))),
+                         windows)
+        maps = {"gp": gp_recover(op, phi).estimate,
+                "wn": wn_recover(op, phi, 4, 1.0, 7).estimate,
+                "kernel": impulse_kernel(windows, phi)}
+        for name, f in maps.items():
+            path = tmp_path / f"{name}.csv"
+            save_csv(f, path)
+            assert path.read_bytes() == savetxt_bytes(f), name
 
     def test_bitmap_symbol_from_pgm(self, tmp_path):
         path = tmp_path / "bmp.pgm"
