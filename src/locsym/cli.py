@@ -89,12 +89,14 @@ def _parse_region(spec: str, size: int):
     except ValueError as exc:
         raise ValidationError(f"bad region {spec!r}, expected n0,m0,n1,m1") from exc
     # each axis range reduced mod L first: a span of L or more is the whole axis
-    rows, cols = ([(lo + i) % size for i in range(min(hi - lo + 1, size))]
+    rows, cols = ((lo % size + np.arange(min(hi - lo + 1, size))) % size
                   for lo, hi in ((n0, n1), (m0, m1)))
-    points = [(n, m) for n in rows for m in cols]
-    if not points:
+    if not (rows.size and cols.size):
         raise ValidationError(f"region {spec!r} is empty")
-    return points
+    points = np.empty((rows.size, cols.size, 2), dtype=np.intp)
+    points[..., 0] = rows[:, None]
+    points[..., 1] = cols
+    return points.reshape(-1, 2)  # (n, m) rows, m fastest
 
 
 # result.meta values copied into the recover sidecar, under their sidecar names

@@ -19,10 +19,14 @@ def rel_l1_error(estimate, truth) -> float:
     if est.shape != tru.shape:
         raise ValidationError("estimate and truth must share a shape")
     mask = np.isfinite(est)
-    denom = float(np.sum(np.abs(tru[mask])))
+    if mask.all():  # no sentinel: the C-order ravels are what the gathers give
+        est, tru = est.ravel(), tru.ravel()
+    else:
+        est, tru = est[mask], tru[mask]
+    denom = float(np.sum(np.abs(tru)))
     if denom == 0.0:
         raise ValidationError("truth has zero L1 mass on the evaluated region")
-    return float(np.sum(np.abs(est[mask] - tru[mask]))) / denom
+    return float(np.sum(np.abs(est - tru))) / denom
 
 
 def variation(f) -> float:

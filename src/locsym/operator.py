@@ -112,8 +112,15 @@ class Spectrum:
 
 
 def _eigen_sum(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """sum_i values[i] h_i h_i* over the eigenvector rows h_i."""
-    return (vectors.T * values) @ vectors.conj()
+    """sum_i values[i] h_i h_i* over the eigenvector rows h_i.
+
+    Formed as conj(conj(V^T diag(values)) @ V): the BLAS call of
+    (V^T diag(values)) @ conj(V) on negated imaginary parts, which gives
+    its bits up to the sign of zeros and makes no conjugate copy of V.
+    """
+    scaled = vectors.T * values
+    total = np.matmul(np.conjugate(scaled, out=scaled), vectors)
+    return np.conjugate(total, out=total)
 
 
 def _hermitian_locop(f: np.ndarray, windows: WindowSystem) -> np.ndarray:
@@ -159,7 +166,7 @@ def build_locop(symbol, windows: WindowSystem) -> LocOperator:
     matrix = _hermitian_locop(f.real, windows)
     if np.iscomplexobj(f):
         matrix = matrix + 1j * _hermitian_locop(f.imag, windows)
-    digest = hashlib.sha256(np.ascontiguousarray(f).tobytes()).hexdigest()[:16]
+    digest = hashlib.sha256(np.ascontiguousarray(f)).hexdigest()[:16]
     return LocOperator(matrix, symbol_hash=digest)
 
 

@@ -44,8 +44,8 @@ import numpy as np
 
 from .core import WindowSystem, as_signal
 from .errors import DegenerateKernelError, NumericalError, ValidationError
-from .gabor import (_hermitian_rows, _lag_table, _symbol_of_half,
-                    hermitian_symbol, weyl_symbol)
+from .gabor import (_hermitian_rows, _lag_table, _midpoint_lag_spectrum,
+                    _symbol_of_half, hermitian_symbol)
 from .operator import (LocOperator, Spectrum, _eigen_sum, build_locop,
                        eigendecompose)
 
@@ -74,9 +74,13 @@ def _unit_window(phi) -> np.ndarray:
     return phi
 
 
-def _psd_symbol(matrix: np.ndarray, phi: np.ndarray):
-    """Lower symbol of a PSD matrix clipped at zero, and the clipped magnitude."""
-    est = hermitian_symbol(matrix, phi)
+def _psd_symbol(rows: np.ndarray, phi: np.ndarray):
+    """Lower symbol of a PSD matrix clipped at zero, and the clipped magnitude.
+
+    ``rows`` are the matrix's ``_hermitian_rows``, so a caller can free the
+    L x L matrix before the lag spectrum and the FFTs, which run in ``rows``.
+    """
+    est = _symbol_of_half(rows, np.fft.fft(_lag_table(phi), axis=1))
     clip = max(0.0, -float(est.min()))
     return np.maximum(est, 0.0, out=est), clip
 
@@ -93,7 +97,9 @@ def wn_limit(spectrum: Spectrum, phi) -> np.ndarray:
     """
     phi = _unit_window(phi)
     lam = spectrum.eigenvalues
-    return _psd_symbol(_eigen_sum(lam * lam, spectrum.eigenvectors), phi)[0]
+    rows = _hermitian_rows(_eigen_sum(lam * lam, spectrum.eigenvectors),
+                           phi.size)
+    return _psd_symbol(rows, phi)[0]
 
 
 def wn_recover(op: LocOperator, phi, draws: int, noise_var: float,
@@ -121,7 +127,7 @@ def wn_recover(op: LocOperator, phi, draws: int, noise_var: float,
     covariance, energy = _noise_covariance(op.matrix, draws,
                                            math.sqrt(noise_var / 2.0), seed)
     covariance /= draws
-    avg, clip = _psd_symbol(covariance, phi)
+    avg, clip = _psd_symbol(_hermitian_rows(covariance, length), phi)
     noise_var_hat = energy / (draws * length)
     meta = {
         "draws": draws,
@@ -152,7 +158,7 @@ def _noise_covariance(matrix: np.ndarray, draws: int, scale: float, seed: int):
     rng = np.random.Generator(bits)
     state = bits.state
     key = state["state"]["key"]
-    gauss = np.empty(2 * length)
+    key[0] = seed
     noise = np.empty((min(draws, _NOISE_BATCH), length), dtype=np.complex128)
     filtered = np.empty_like(noise)
     product = np.empty((length, length), dtype=np.complex128)
@@ -161,13 +167,19 @@ def _noise_covariance(matrix: np.ndarray, draws: int, scale: float, seed: int):
     for lo in range(0, draws, _NOISE_BATCH):
         count = min(_NOISE_BATCH, draws - lo)
         block, image = noise[:count], filtered[:count]
-        for k, row in zip(range(lo, lo + count), block):
-            key[:] = seed, k
+        # until the matmul the images' buffer holds floats: first the 2L
+        # normals of each draw in its row, then |re|^2 and |im|^2 in halves
+        spare = image.view(np.float64)
+        for k, row in zip(range(lo, lo + count), spare):
+            key[1] = k
             bits.state = state
-            rng.standard_normal(out=gauss)
-            np.multiply(gauss[:length], scale, out=row.real)
-            np.multiply(gauss[length:], scale, out=row.imag)
-        energy += float(np.sum(block.real ** 2 + block.imag ** 2))
+            rng.standard_normal(out=row)
+        np.multiply(spare[:, :length], scale, out=block.real)
+        np.multiply(spare[:, length:], scale, out=block.imag)
+        square = spare.reshape(2, count, length)
+        np.square(block.real, out=square[0])
+        np.square(block.imag, out=square[1])
+        energy += float(np.sum(np.add(square[0], square[1], out=square[0])))
         np.matmul(block, matrix.T, out=image)
         # the noise is spent: its rows take the conjugate of the images
         covariance += np.matmul(image.T, np.conjugate(image, out=block),
@@ -175,11 +187,14 @@ def _noise_covariance(matrix: np.ndarray, draws: int, scale: float, seed: int):
     return covariance, energy
 
 
-def _truncation(spectrum: Spectrum, terms: int):
-    """A_N, the operator rebuilt from its ``terms`` leading eigenpairs, and
-    the eigenvalue tail mass sum_{m >= N} |lambda_m| it leaves out.
+def _truncation(spectrum: Spectrum, terms: int, length: int):
+    """The ``_hermitian_rows`` of A_N, the operator rebuilt from its
+    ``terms`` leading eigenpairs, and the eigenvalue tail mass
+    sum_{m >= N} |lambda_m| it leaves out.
 
-    With all terms A_N is ``spectrum.matrix`` and no eigenpair is read.
+    With all terms A_N is ``spectrum.matrix`` and no eigenpair is read;
+    below that the eigen-sum is freed once its rows are taken.  ``length``
+    is the window length the rows are checked against.
     A cut between two |lambda| closer than DEGENERACY_GAP * |lambda_0| makes
     A_N depend on roundoff, so it raises unless the rest is negligible.
     """
@@ -188,7 +203,7 @@ def _truncation(spectrum: Spectrum, terms: int):
             f"terms must be in 1..{spectrum.size}, got {terms}"
         )
     if terms == spectrum.size:
-        return spectrum.matrix, 0.0
+        return _hermitian_rows(spectrum.matrix, length), 0.0
     mag = np.abs(spectrum.eigenvalues)
     gap = mag[terms - 1] - mag[terms]
     scale = DEGENERACY_GAP * mag[0]
@@ -199,7 +214,7 @@ def _truncation(spectrum: Spectrum, terms: int):
         )
     truncated = _eigen_sum(spectrum.eigenvalues[:terms],
                            spectrum.eigenvectors[:terms])
-    return truncated, float(np.sum(mag[terms:]))
+    return _hermitian_rows(truncated, length), float(np.sum(mag[terms:]))
 
 
 def was_recover(spectrum: Spectrum, system: WindowSystem,
@@ -210,9 +225,9 @@ def was_recover(spectrum: Spectrum, system: WindowSystem,
     eigenpairs.  With all terms and a rank-one system this is the Gabor
     projection estimator, computed through spectral data instead.
     """
-    truncated, tail = _truncation(spectrum, terms)
+    rows, tail = _truncation(spectrum, terms, system.length)
     lag_hat = np.fft.fft(_lag_table(system.windows, system.weights), axis=1)
-    out = _symbol_of_half(_hermitian_rows(truncated, system.length), lag_hat)
+    out = _symbol_of_half(rows, lag_hat)
     return RecoveryResult(out, "was", {"terms": terms, "eig_tail_mass": tail})
 
 
@@ -223,13 +238,15 @@ def wawd_recover(spectrum: Spectrum, terms: int) -> RecoveryResult:
     convolution (1/L)(f conv W(g)); for even L the Wigner frequency
     aliasing leaks into the estimate, which the meta flag records.
     """
-    truncated, tail = _truncation(spectrum, terms)
+    length = spectrum.size
+    rows, tail = _truncation(spectrum, terms, length)
     meta = {
         "terms": terms,
         "eig_tail_mass": tail,
-        "even_length_artifacts": truncated.shape[0] % 2 == 0,
+        "even_length_artifacts": length % 2 == 0,
     }
-    return RecoveryResult(weyl_symbol(truncated), "wawd", meta)
+    out = _symbol_of_half(rows, _midpoint_lag_spectrum(length))
+    return RecoveryResult(out, "wawd", meta)
 
 
 def pt_recover(op: LocOperator, basis, phi) -> RecoveryResult:
@@ -252,7 +269,8 @@ def pt_recover(op: LocOperator, basis, phi) -> RecoveryResult:
         del gram  # freed before B B* is formed
         if len(family) < op.size:
             images = images @ family.T
-    out, clip = _psd_symbol(images @ images.conj().T, phi)
+    out, clip = _psd_symbol(
+        _hermitian_rows(images @ images.conj().T, op.size), phi)
     return RecoveryResult(out, "pt", {"basis_size": images.shape[1],
                                       "psd_clip": clip})
 
@@ -260,15 +278,17 @@ def pt_recover(op: LocOperator, basis, phi) -> RecoveryResult:
 def gp_recover(op: LocOperator, phi, region=None) -> RecoveryResult:
     """Gabor projection: estimate[z] = Re <A pi(z) phi, pi(z) phi>.
 
-    ``region`` (an iterable of lattice points) restricts the output,
-    leaving NaN sentinels elsewhere since zero is a meaningful symbol
-    value.
+    ``region`` (an (N, 2) integer array or any iterable of lattice
+    points) restricts the output, leaving NaN sentinels elsewhere since
+    zero is a meaningful symbol value.  An array is read as it is; other
+    iterables go through ``list``.
     """
     phi = _unit_window(phi)
     symbol = hermitian_symbol(op.matrix, phi)
     if region is None:
         return RecoveryResult(symbol, "gp", {"region_points": None})
-    points = np.asarray(list(region), dtype=np.intp).reshape(-1, 2) % op.size
+    points = region if isinstance(region, np.ndarray) else list(region)
+    points = np.asarray(points, dtype=np.intp).reshape(-1, 2) % op.size
     rows, cols = points.T
     est = np.full((op.size, op.size), np.nan)
     est[rows, cols] = symbol[rows, cols]

@@ -535,9 +535,41 @@ def test_huge_region_is_each_grid_point_once(tmp_path, circle, monkeypatch):
                "--region=-500,7,499,1006", "--out", tmp_path / "h") == 0
     assert run("recover", "--method", "gp", "--symbol", circle, "--size", 32,
                "--out", tmp_path / "full") == 0
-    assert len(regions[0]) == len(set(regions[0])) == 32 * 32
+    assert len(regions[0]) == len(np.unique(regions[0], axis=0)) == 32 * 32
     assert ((tmp_path / "h.csv").read_bytes()
             == (tmp_path / "full.csv").read_bytes())
+
+
+def test_full_region_at_512_is_one_array_not_tuples():
+    # the region is an (N, 2) array: L^2 Python tuples took 32 MB here
+    import gc
+    import tracemalloc
+
+    from locsym import (SymbolSpec, WindowSystem, build_locop, gen_symbol,
+                        gp_recover, make_gaussian_window)
+
+    size = 512
+    g = make_gaussian_window(size)
+    op = build_locop(gen_symbol(SymbolSpec("circle", size, {}, (0.0, 1.0))),
+                     WindowSystem.single(g))
+    gp_recover(op, g)  # warm: FFT plans are made on first use
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        region = cli._parse_region(f"0,0,{size - 1},{size - 1}", size)
+        est = gp_recover(op, g, region).estimate
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    # measured at 7.0 maps of L x L float64 (14.0 MB), 16.1 before
+    assert peak <= 8 * size * size * 8
+    assert region.shape == (size * size, 2) and region.dtype == np.intp
+    points = [(n, m) for n in range(size) for m in range(size)]
+    assert est.tobytes() == gp_recover(op, g, points).estimate.tobytes()
 
 
 @pytest.mark.parametrize("params", ['{"radius": 4', "[1, 2]"],

@@ -10,28 +10,31 @@ from locsym import (SymbolSpec, WindowSystem, build_locop, deconvolve,
                     eigendecompose, gen_symbol, gp_recover, hermite_system,
                     impulse_kernel, load_locop, make_gaussian_window,
                     pt_recover, save_csv, save_locop, save_pgm, standard_basis,
-                    was_recover, wawd_recover, wn_recover)
+                    was_recover, wawd_recover, wn_limit, wn_recover)
 
 L = 256
 UNIT = L * L * 16  # bytes of one dense complex L x L matrix
 
 # Warm tracemalloc peak of each call at L = 256, in UNITs, with the inputs
 # made outside the call.  Measured with numpy 2.4 at 1.77, 1.51, 1.51, 2.57,
-# 2.51, 3.02 and 3.51; each bound adds a quarter of a unit.  Before each
+# 2.14, 2.64, 3.07 and 2.14; each bound adds a quarter of a unit.  Before each
 # kernel built its work buffers once, the peaks were 2.65, 2.52, 2.52, 6.57,
-# 4.52, 4.27 and 6.02.  The file and spectrum layers, measured the same way
-# at 0.87 (save_csv), 0.81 (save_pgm), 1.07 (load_locop) and 1.22
-# (eigendecompose), were 1.18, 1.50, 2.07 and 2.50 before they reused one
-# set of buffers per call, read the dump once and formed the Hermitian part
-# in one array.
+# 4.52, 4.27 and 6.02.  Before the PSD symbols freed their matrix once its
+# half-lattice rows were taken, and wn drew into its images' buffer, the two
+# pt calls, wn and wn_limit peaked at 2.51, 3.02, 3.51 and 3.00.  The file
+# and spectrum layers, measured the same way at 0.87 (save_csv), 0.81
+# (save_pgm), 1.07 (load_locop) and 1.22 (eigendecompose), were 1.18, 1.50,
+# 2.07 and 2.50 before they reused one set of buffers per call, read the
+# dump once and formed the Hermitian part in one array.
 PEAK_BOUNDS = {
     "build_locop": 2.0,
     "gp_recover": 1.75,
     "impulse_kernel": 1.75,
     "deconvolve": 2.8,
-    "pt_standard": 2.75,
-    "pt_hermite": 3.25,
-    "wn_128": 3.75,
+    "pt_standard": 2.39,
+    "pt_hermite": 2.89,
+    "wn_128": 3.32,
+    "wn_limit": 2.39,
     "save_csv": 1.12,
     "save_pgm": 1.06,
     "load_locop": 1.32,
@@ -52,6 +55,7 @@ def apply_calls(tmp_path_factory):
     kernel = impulse_kernel(windows, phi)
     standard = standard_basis(L)
     hermite = hermite_system(L, L // 2, (L // 2, L // 2))
+    spectrum = eigendecompose(op)
     out = tmp_path_factory.mktemp("memory")
     save_locop(op, out / "op.locop")
     return {
@@ -62,6 +66,7 @@ def apply_calls(tmp_path_factory):
         "pt_standard": lambda: pt_recover(op, standard, phi),
         "pt_hermite": lambda: pt_recover(op, hermite, phi),
         "wn_128": lambda: wn_recover(op, phi, 128, 1.0, 3),
+        "wn_limit": lambda: wn_limit(spectrum, phi),  # warm-up runs eigh
         "save_csv": lambda: save_csv(est, out / "est.csv"),
         "save_pgm": lambda: save_pgm(est, out / "est.pgm"),
         "load_locop": lambda: load_locop(out / "op.locop"),

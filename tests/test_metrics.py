@@ -45,6 +45,32 @@ class TestRelL1:
         with pytest.raises(ValidationError):
             rel_l1_error(np.ones((4, 4)), np.zeros((4, 4)))
 
+    @staticmethod
+    def masked_formula(est, truth):
+        mask = np.isfinite(est)
+        return (float(np.sum(np.abs(est[mask] - truth[mask])))
+                / float(np.sum(np.abs(truth[mask]))))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_all_finite_path_is_the_masked_formula_bit_for_bit(self, order):
+        # 128 x 128 sums span many pairwise-summation blocks
+        rng = np.random.default_rng(12)
+        truth = rng.standard_normal((128, 128))
+        est = np.asarray(truth + 0.1 * rng.standard_normal((128, 128)),
+                         order=order)
+        assert est.flags[f"{order}_CONTIGUOUS"]
+        for t in (truth, np.asfortranarray(truth)):
+            assert rel_l1_error(est, t) == self.masked_formula(est, t)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_entry_still_takes_the_masked_path(self, bad):
+        rng = np.random.default_rng(13)
+        truth = rng.standard_normal((128, 128))
+        est = truth + 0.1 * rng.standard_normal((128, 128))
+        est[5, 7] = bad
+        got = rel_l1_error(est, truth)
+        assert np.isfinite(got) and got == self.masked_formula(est, truth)
+
 
 class TestVariation:
     def test_constant_map(self):

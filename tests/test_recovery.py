@@ -131,10 +131,13 @@ def per_draw_generator_wn(op, phi, draws, noise_var, seed):
 
 
 class TestNoiseSubstreams:
-    # draws 129 and 300 cross the 128-draw batch boundary
-    @pytest.mark.parametrize("draws", [1, 129, 300])
-    def test_matches_per_draw_generators(self, draws):
-        g, _, _, op = gauss_setup(24, seed=30)
+    # draws 129 and 300 cross the 128-draw batch boundary, 256 ends on it;
+    # the odd length 25 splits each draw's 2L normals at an odd offset
+    @pytest.mark.parametrize("length,draws", [
+        *(pytest.param(24, draws, id=str(draws)) for draws in (1, 129, 256, 300)),
+        *(pytest.param(25, draws, id=f"L25-{draws}") for draws in (1, 129))])
+    def test_matches_per_draw_generators(self, length, draws):
+        g, _, _, op = gauss_setup(length, seed=30)
         est = wn_recover(op, g, draws, 0.8, 2 ** 63 + 5).estimate
         np.testing.assert_array_equal(
             est, per_draw_generator_wn(op, g, draws, 0.8, 2 ** 63 + 5))
