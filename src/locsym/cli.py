@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +52,7 @@ def _openblas_threads():
 
 def _limit_threads(threads: int):
     """Cap BLAS threads through threadpoolctl or, without it, numpy's OpenBLAS."""
-    if threads <= 0:
+    if threads == 0:
         return
     try:
         import threadpoolctl
@@ -119,22 +118,27 @@ def _check_out_dirs(*paths):
             raise ValidationError(f"output directory of {path!r} does not exist")
 
 
+def _json_text(obj) -> str:
+    """The text of a sidecar or report JSON file."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def _write_outputs(grid, out: str, sidecar: dict, value_range):
     base = out[:-4] if out.lower().endswith((".pgm", ".csv")) else out
     save_pgm(grid, base + ".pgm", value_range)
     save_csv(grid, base + ".csv")
     with open(base + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(sidecar))
 
 
 def _cmd_gen_symbol(args) -> int:
     _check_out_dirs(args.out, args.csv)
     params = _parse_json(args.params, "--params") if args.params else {}
+    # --radius wins over params; SymbolSpec rejects a params that is no object
+    if args.radius is not None and isinstance(params, dict):
+        params = {**params, "radius": args.radius}
     spec = SymbolSpec(args.kind, args.size, params,
                       (args.range_lo, args.range_hi))
-    if args.kind == "circle" and args.radius is not None:
-        spec = replace(spec, params={"radius": args.radius, **params})
     grid = gen_symbol(spec)
     save_pgm(grid, args.out, spec.value_range)
     if args.csv:
@@ -244,14 +248,12 @@ def _cmd_bench(args) -> int:
         config = _parse_json(fh.read(), f"--config {args.config}")
     report = bench_all(config)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(args.out, "report.txt"), "w") as fh:
-        fh.write(report_text(report))
-    with open(os.path.join(args.out, "report.csv"), "w") as fh:
-        fh.write(report_csv(report))
-    sys.stdout.write(report_text(report))
+    text = report_text(report)
+    for name, body in (("report.json", _json_text(report)),
+                       ("report.txt", text), ("report.csv", report_csv(report))):
+        with open(os.path.join(args.out, name), "w") as fh:
+            fh.write(body)
+    sys.stdout.write(text)
     return 0
 
 
@@ -262,28 +264,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--threads", type=int, default=0,
-                        help="cap BLAS/FFT threads (0 = auto)")
+                        help="cap BLAS/FFT threads, N >= 0 (0 = auto)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-symbol", help="generate a synthetic symbol")
+    # options that several subcommands declare alike
+    size = argparse.ArgumentParser(add_help=False)
+    size.add_argument("--size", type=int, required=True)
+    value_range = argparse.ArgumentParser(add_help=False)
+    value_range.add_argument("--range-lo", type=float, default=0.0)
+    value_range.add_argument("--range-hi", type=float, default=1.0)
+    windows = argparse.ArgumentParser(add_help=False)
+    windows.add_argument("--window", default="gauss",
+                         help="analysis window(s), comma-separated: gauss, hermite:k")
+    windows.add_argument("--recon-window",
+                         help="reconstruction window (default: first analysis window)")
+
+    p = sub.add_parser("gen-symbol", help="generate a synthetic symbol",
+                       parents=[size, value_range])
     p.add_argument("--kind", required=True, choices=KINDS)
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--radius", type=float, help="circle radius override")
+    p.add_argument("--radius", type=float,
+                   help="circle radius, overriding one in --params")
     p.add_argument("--params", help="kind parameters as a JSON object")
-    p.add_argument("--range-lo", type=float, default=0.0)
-    p.add_argument("--range-hi", type=float, default=1.0)
     p.add_argument("--out", required=True, help="output PGM path")
     p.add_argument("--csv", help="also write exact CSV here")
     p.set_defaults(func=_cmd_gen_symbol)
 
-    p = sub.add_parser("recover", help="build the operator and run a method")
+    p = sub.add_parser("recover", help="build the operator and run a method",
+                       parents=[size, windows, value_range])
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--symbol", required=True, help="symbol file (PGM or CSV)")
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--window", default="gauss",
-                   help="analysis window(s), comma-separated: gauss, hermite:k")
-    p.add_argument("--recon-window", dest="recon_window",
-                   help="reconstruction window (default: first analysis window)")
     p.add_argument("--K", dest="noise_draws", type=int, default=100,
                    help="white-noise realizations")
     p.add_argument("--sigma2", type=float, default=1.0, help="noise variance")
@@ -292,8 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", default="standard",
                    help="pt basis: standard | dft | hermite:N@n,m")
     p.add_argument("--region", help="gp region n0,m0,n1,m1 (inclusive)")
-    p.add_argument("--range-lo", type=float, default=0.0)
-    p.add_argument("--range-hi", type=float, default=1.0)
     p.add_argument("--compress-positive-frequency", action="store_true",
                    help="zero the upper frequency half of the symbol first")
     p.add_argument("--operator", help="reuse a dumped operator instead of building")
@@ -301,22 +308,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_recover)
 
-    p = sub.add_parser("impulse", help="impulse-response kernel of the pipeline")
+    p = sub.add_parser("impulse", help="impulse-response kernel of the pipeline",
+                       parents=[size, windows])
     p.add_argument("--mode", required=True, choices=["analytic", "measured"])
     p.add_argument("--estimator", default="gp", choices=IMPULSE_ESTIMATORS)
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--window", default="gauss")
-    p.add_argument("--recon-window", dest="recon_window")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_impulse)
 
-    p = sub.add_parser("deconvolve", help="divide out a blurring kernel")
+    p = sub.add_parser("deconvolve", help="divide out a blurring kernel",
+                       parents=[value_range])
     p.add_argument("--est", required=True, help="estimate file (CSV preferred)")
     p.add_argument("--kernel", required=True, help="kernel CSV written by impulse")
     p.add_argument("--eps", type=float, required=True,
                    help="relative spectral threshold in (0, 1)")
-    p.add_argument("--range-lo", type=float, default=0.0)
-    p.add_argument("--range-hi", type=float, default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_deconvolve)
 
@@ -330,6 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.threads < 0:
+        parser.error(f"argument --threads: must be >= 0, got {args.threads}")
     _limit_threads(args.threads)
     try:
         return args.func(args)

@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -40,24 +41,8 @@ from .errors import PgmError, ValidationError
 
 PGM_MAXVAL = 65535
 
-
-def _tokens(data: bytes):
-    """Yield whitespace-separated header tokens, skipping # comments."""
-    pos = 0
-    while pos < len(data):
-        ch = data[pos:pos + 1]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch == b"#":
-            end = data.find(b"\n", pos)
-            pos = len(data) if end < 0 else end + 1
-            continue
-        end = pos
-        while end < len(data) and not data[end:end + 1].isspace():
-            end += 1
-        yield pos, data[pos:end]
-        pos = end
+# a header token, or a # comment, which runs to the end of its line
+_PGM_TOKEN = re.compile(rb"#[^\n]*|(\S+)")
 
 
 def load_pgm(path, value_range=(0.0, 1.0)) -> np.ndarray:
@@ -66,7 +51,7 @@ def load_pgm(path, value_range=(0.0, 1.0)) -> np.ndarray:
     lo, hi = value_range
     with open(path, "rb") as fh:
         data = fh.read()
-    toks = _tokens(data)
+    toks = ((m.start(), m[1]) for m in _PGM_TOKEN.finditer(data) if m[1])
     try:
         _, magic = next(toks)
         if magic not in (b"P2", b"P5"):

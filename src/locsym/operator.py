@@ -12,6 +12,7 @@ estimates need the full spectrum.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import struct
@@ -27,6 +28,7 @@ HERMITIAN_REJECT_TOL = 1e-6
 _ASYM_BLOCK = 4096  # entries per block of rows in the asymmetry check
 
 _DUMP_MAGIC = b"LOCOP1"
+_DUMP_HEADER = struct.Struct("<6s2xI4x")  # magic, 2 pad, u32 L, 4 pad
 
 
 @dataclass(frozen=True)
@@ -67,48 +69,44 @@ class Spectrum:
     the operator the spectrum describes: the Hermitian matrix it was built
     from, or else the eigen-sum of its pairs, formed on first read.  Neither
     ``size`` nor ``matrix`` of a matrix-built spectrum runs ``eigh``.
-    Concurrent first reads from several threads may each run ``eigh``.
+    ``matrix`` and the eigenpairs are ``functools.cached_property`` values:
+    on Python 3.10 and 3.11 a first read holds a lock, so concurrent first
+    reads run ``eigh`` once; on 3.12 and later there is no lock and two
+    threads may each run it.
     """
-
-    __slots__ = ("_matrix", "_pairs")
 
     def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray):
         self._pairs = (eigenvalues, eigenvectors)
-        self._matrix = None
 
     @classmethod
     def of_hermitian(cls, matrix: np.ndarray) -> "Spectrum":
         """Spectrum of Hermitian ``matrix``, eigendecomposed on first read."""
         spectrum = cls.__new__(cls)
-        spectrum._pairs = None
-        spectrum._matrix = matrix
+        spectrum.matrix = matrix
         return spectrum
 
     @property
     def size(self) -> int:
-        held = self._matrix if self._pairs is None else self._pairs[0]
-        return held.shape[0]
+        held = vars(self)
+        return (held["matrix"] if "matrix" in held else self._pairs[0]).shape[0]
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        return self._eigenpairs()[0]
+        return self._pairs[0]
 
     @property
     def eigenvectors(self) -> np.ndarray:
-        return self._eigenpairs()[1]
+        return self._pairs[1]
 
-    @property
+    @functools.cached_property
     def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = _eigen_sum(*self._pairs)
-        return self._matrix
+        return _eigen_sum(*self._pairs)
 
-    def _eigenpairs(self):
-        if self._pairs is None:
-            lam, vec = np.linalg.eigh(self._matrix)
-            order = np.lexsort((-lam, -np.abs(lam)))
-            self._pairs = lam[order], vec.T[order]
-        return self._pairs
+    @functools.cached_property
+    def _pairs(self):
+        lam, vec = np.linalg.eigh(self.matrix)
+        order = np.lexsort((-lam, -np.abs(lam)))
+        return lam[order], vec.T[order]
 
 
 def _eigen_sum(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -224,20 +222,19 @@ def eigendecompose(op: LocOperator) -> Spectrum:
 def save_locop(op: LocOperator, path):
     """Binary dump: 16-byte header (magic ``LOCOP1``, u32 L), then the
     matrix row-major as little-endian float64 (real, imag) pairs."""
-    header = _DUMP_MAGIC + b"\x00\x00" + struct.pack("<I", op.size) + b"\x00" * 4
     with open(path, "wb") as fh:
-        fh.write(header)
+        fh.write(_DUMP_HEADER.pack(_DUMP_MAGIC, op.size))
         fh.write(np.ascontiguousarray(op.matrix, dtype="<c16").tobytes())
 
 
 def load_locop(path) -> LocOperator:
     """Read a matrix dumped by :func:`save_locop`; ``LocOperator`` checks it."""
     with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) != 16 or header[:6] != _DUMP_MAGIC:
+        header = fh.read(_DUMP_HEADER.size)
+        if len(header) != _DUMP_HEADER.size or header[:6] != _DUMP_MAGIC:
             raise ValidationError(f"{path}: not a LOCOP1 dump")
-        (length,) = struct.unpack("<I", header[8:12])
-        if os.fstat(fh.fileno()).st_size != 16 + 16 * length * length:
+        _, length = _DUMP_HEADER.unpack(header)
+        if os.fstat(fh.fileno()).st_size != _DUMP_HEADER.size + 16 * length * length:
             raise ValidationError(f"{path}: file size does not match L = {length}")
         data = np.fromfile(fh, dtype="<c16", count=length * length)
     matrix = data.reshape(length, length).astype(np.complex128, copy=False)

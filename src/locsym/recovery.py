@@ -65,8 +65,12 @@ class RecoveryResult:
     meta: dict = field(default_factory=dict)
 
 
-def _unit_window(phi) -> np.ndarray:
+def _unit_window(phi, length: int) -> np.ndarray:
+    """``phi`` as a signal, checked to be unit-norm and ``length`` long."""
     phi = as_signal(phi)
+    if phi.size != length:
+        raise ValidationError(
+            f"reconstruction window length {phi.size} != operator size {length}")
     nrm = np.linalg.norm(phi)
     if abs(nrm - 1.0) > 1e-9:
         raise ValidationError(
@@ -95,7 +99,7 @@ def wn_limit(spectrum: Spectrum, phi) -> np.ndarray:
     bit-for-bit equal for ``Spectrum(-lambda, V)``, while A A* formed from
     ``spectrum.matrix`` would agree with it only to roundoff.
     """
-    phi = _unit_window(phi)
+    phi = _unit_window(phi, spectrum.size)
     lam = spectrum.eigenvalues
     rows = _hermitian_rows(_eigen_sum(lam * lam, spectrum.eigenvectors),
                            phi.size)
@@ -113,14 +117,12 @@ def wn_recover(op: LocOperator, phi, draws: int, noise_var: float,
     noise level, the mean of |dgt(noise, phi)|^2 over realizations and
     lattice points; it targets the squared symbol, so signs are lost.
     """
-    phi = _unit_window(phi)
+    phi = _unit_window(phi, op.size)
     if draws < 1:
         raise ValidationError(f"draws must be >= 1, got {draws}")
     if not (math.isfinite(noise_var) and noise_var > 0):
         raise ValidationError(
             f"noise variance must be positive and finite, got {noise_var}")
-    if op.size != phi.size:
-        raise ValidationError("operator and window sizes differ")
     if not 0 <= seed < 2 ** 64:
         raise ValidationError(f"seed must be in 0..2**64-1, got {seed}")
     length = op.size
@@ -256,7 +258,7 @@ def pt_recover(op: LocOperator, basis, phi) -> RecoveryResult:
     complete.  Any complete basis gives wn_limit, the lower symbol of
     B B* = A E^T conj(E) A* = A A*, so that case forms no basis and no B.
     """
-    phi = _unit_window(phi)
+    phi = _unit_window(phi, op.size)
     images = op.matrix
     if basis is not None:
         family = np.atleast_2d(np.asarray(basis, dtype=np.complex128))
@@ -283,7 +285,7 @@ def gp_recover(op: LocOperator, phi, region=None) -> RecoveryResult:
     zero is a meaningful symbol value.  An array is read as it is; other
     iterables go through ``list``.
     """
-    phi = _unit_window(phi)
+    phi = _unit_window(phi, op.size)
     symbol = hermitian_symbol(op.matrix, phi)
     if region is None:
         return RecoveryResult(symbol, "gp", {"region_points": None})
@@ -337,8 +339,8 @@ def impulse_kernel(windows: WindowSystem, phi, mode: str = "analytic",
     run the requested estimator pipeline on it; for gp and was this
     reproduces the analytic kernel to machine precision.
     """
-    phi = _unit_window(phi)
     length = windows.length
+    phi = _unit_window(phi, length)
     if mode == "analytic":
         kernel = _symbol_of_half(_lag_table(windows.windows, windows.weights),
                                  np.fft.fft(_lag_table(phi), axis=1))

@@ -184,6 +184,11 @@ def _tiles(size, params):
     return (row[:, None] + row[None, :]) % 2 == 0
 
 
+# the binary kinds: their mask picks hi, the rest of the grid is lo
+_MASKS = {"circle": _circle, "star": _star, "lines_circles": _lines_circles,
+          "tiles": _tiles}
+
+
 def gen_symbol(spec: SymbolSpec) -> np.ndarray:
     """Generate the real symbol map for ``spec``.
 
@@ -193,20 +198,13 @@ def gen_symbol(spec: SymbolSpec) -> np.ndarray:
     """
     lo, hi = spec.value_range
     size, params = spec.size, spec.params
-    if spec.kind == "circle":
-        mask = _circle(size, params)
-        return np.where(mask, hi, lo)
+    if spec.kind in _MASKS:
+        return np.where(_MASKS[spec.kind](size, params), hi, lo)
     if spec.kind == "gaussians":
         return lo + (hi - lo) * _gaussians(size, params)
-    if spec.kind == "star":
-        return np.where(_star(size, params), hi, lo)
-    if spec.kind == "lines_circles":
-        return np.where(_lines_circles(size, params), hi, lo)
     if spec.kind == "blurred_lines_circles":
         base = np.where(_lines_circles(size, params), hi, lo)
         return gaussian_blur(base, params.get("sigma", max(1.5, size / 64)))
-    if spec.kind == "tiles":
-        return np.where(_tiles(size, params), hi, lo)
     from .mapio import load_pgm
 
     f = load_pgm(params["path"], value_range=(lo, hi))

@@ -32,6 +32,22 @@ def test_gen_symbol_writes_binary_circle(tmp_path):
     assert set(np.unique(f)) == {0.0, 1.0}
 
 
+def test_radius_overrides_the_radius_in_params(tmp_path):
+    out = tmp_path / "c.pgm"
+    assert run("gen-symbol", "--kind", "circle", "--size", 32, "--radius", 8,
+               "--params", '{"radius": 4}', "--out", out) == 0
+    assert np.count_nonzero(load_pgm(out)) == 197  # the r = 8 disc, not r = 4
+
+
+def test_negative_threads_exits_2_at_parse_time(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("--threads", -1, "gen-symbol", "--kind", "circle", "--size", 16,
+            "--out", tmp_path / "c.pgm")
+    assert exc.value.code == 2
+    assert "--threads: must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "c.pgm").exists()
+
+
 def test_recover_gp_outputs_triplet(tmp_path, circle):
     out = tmp_path / "est"
     assert run("recover", "--method", "gp", "--symbol", circle,

@@ -265,7 +265,8 @@ class TestDump:
         path = tmp_path / "op.bin"
         save_locop(op, path)
         blob = path.read_bytes()
-        assert blob[:6] == b"LOCOP1"
+        # magic, two zero bytes, L as a little-endian u32, four zero bytes
+        assert blob[:16] == b"LOCOP1\0\0\x40\0\0\0\0\0\0\0"
         assert len(blob) == 16 + 64 * 64 * 16
 
     def test_rejects_garbage(self, tmp_path):

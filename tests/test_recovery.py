@@ -194,6 +194,24 @@ class TestRecoverDispatch:
                 wawd.estimate, wawd_recover(spec, terms).estimate)
             assert was.meta == was_recover(spec, ws, terms).meta
 
+    @pytest.mark.parametrize("entry", [
+        lambda op, ws, phi: wn_limit(eigendecompose(op), phi),
+        lambda op, ws, phi: wn_recover(op, phi, 4, 1.0, 0),
+        lambda op, ws, phi: pt_recover(op, None, phi),
+        lambda op, ws, phi: pt_recover(op, hermite_system(32, 2), phi),
+        lambda op, ws, phi: gp_recover(op, phi),
+        lambda op, ws, phi: impulse_kernel(ws, phi),
+        lambda op, ws, phi: impulse_kernel(ws, phi, mode="measured"),
+    ], ids=["wn_limit", "wn", "pt", "pt-hermite", "gp", "impulse-analytic",
+            "impulse-measured"])
+    def test_a_window_of_another_length_is_rejected_first(self, entry,
+                                                         eigh_calls):
+        _, ws, _, op = gauss_setup(32, seed=3)
+        with pytest.raises(ValidationError,
+                           match="window length 16 != operator size 32"):
+            entry(op, ws, make_gaussian_window(16))
+        assert eigh_calls == []
+
     def test_a_passed_spectrum_is_reused_with_the_same_bits(self, eigh_calls):
         L = 48
         g, _, _, op = gauss_setup(L, seed=32)

@@ -155,6 +155,40 @@ class TestPgm:
         with pytest.raises(PgmError):
             load_pgm(path)
 
+    # header edge cases: the bytes, then (gray levels, maxval) or the error
+    HEADER_CASES = {
+        "comment-glued-to-magic": (b"P2# c\n2 2\n3\n0 1 2 3\n", PgmError),
+        "comment-after-magic": (b"P2 # c\n2 2\n3\n0 1 2 3\n",
+                                ([0, 1, 2, 3], 3)),
+        "hash-inside-a-token": (b"P2\n2 2#c\n3\n0 1 2 3\n", PgmError),
+        "hash-inside-a-sample": (b"P2\n2 2\n3\n0 1#c 2 3\n", PgmError),
+        "comment-at-eof-without-newline": (b"P2\n2 2\n3\n0 1 2 3 # end",
+                                           ([0, 1, 2, 3], 3)),
+        "vt-ff-cr-tab-whitespace": (b"P2\x0b2\x0c2\r3\t0\r\n1\x0b2\x0c3",
+                                    ([0, 1, 2, 3], 3)),
+        "comment-before-maxval": (b"P5\n2 2\n# c\n255\n\x00\x01\x02\x03",
+                                  ([0, 1, 2, 3], 255)),
+        "p5-raster-starts-with-hash": (b"P5\n2 2\n255\n#\x01\x02\x03",
+                                       ([35, 1, 2, 3], 255)),
+        "p5-raster-starts-with-space": (b"P5 2 2 255  \x01\x02\x03",
+                                        ([32, 1, 2, 3], 255)),
+        "p5-16-bit": (b"P5\n2 2\n65535\n\x00\x01\x01\x00\xff\xfe\xff\xff",
+                      ([1, 256, 65534, 65535], 65535)),
+    }
+
+    @pytest.mark.parametrize("data,expected", HEADER_CASES.values(),
+                             ids=HEADER_CASES.keys())
+    def test_header_edge_cases(self, tmp_path, data, expected):
+        path = tmp_path / "edge.pgm"
+        path.write_bytes(data)
+        if expected is PgmError:
+            with pytest.raises(PgmError):
+                load_pgm(path)
+            return
+        levels, maxval = expected
+        want = np.array(levels, dtype=np.float64).reshape(2, 2) / maxval
+        np.testing.assert_array_equal(load_pgm(path), want)
+
     def test_nan_written_as_low_end(self, tmp_path):
         f = np.full((4, 4), 0.5)
         f[1, 2] = np.nan
