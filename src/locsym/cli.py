@@ -23,7 +23,8 @@ from .bench import (SCHEMA_VERSION, bench_all, report_csv, report_text,
                     resolve_windows)
 from .core import hermite_system
 from .errors import NumericalError, ValidationError
-from .mapio import check_value_range, load_csv, load_map, save_csv, save_pgm
+from .mapio import (_open_new, check_value_range, load_csv, load_map, save_csv,
+                    save_pgm)
 from .operator import build_locop, load_locop, save_locop
 from .recovery import (IMPULSE_ESTIMATORS, METHODS, SQUARED_TARGET, deconvolve,
                        impulse_kernel, recover)
@@ -127,7 +128,7 @@ def _write_outputs(grid, out: str, sidecar: dict, value_range):
     base = out[:-4] if out.lower().endswith((".pgm", ".csv")) else out
     save_pgm(grid, base + ".pgm", value_range)
     save_csv(grid, base + ".csv")
-    with open(base + ".json", "w") as fh:
+    with _open_new(base + ".json", "x") as fh:
         fh.write(_json_text(sidecar))
 
 
@@ -251,7 +252,7 @@ def _cmd_bench(args) -> int:
     text = report_text(report)
     for name, body in (("report.json", _json_text(report)),
                        ("report.txt", text), ("report.csv", report_csv(report))):
-        with open(os.path.join(args.out, name), "w") as fh:
+        with _open_new(os.path.join(args.out, name), "x") as fh:
             fh.write(body)
     sys.stdout.write(text)
     return 0

@@ -17,6 +17,11 @@ from .errors import ValidationError
 
 UNIT_NORM_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-12
+# sampled Hermite rows this close to orthonormal are kept as they are ...
+HERMITE_GRAM_TOL = 1e-14
+# ... in families of at least this many; a smaller one (a hermite:k window)
+# always takes the QR, which costs it tens of microseconds and keeps its bits
+HERMITE_GRAM_MIN_COUNT = 16
 # one dense complex L x L matrix at this L takes 256 MiB
 MAX_LENGTH = 4096
 LENGTH_RULE = f"an integer in 4..{MAX_LENGTH}"
@@ -76,17 +81,27 @@ def tf_shift(psi: np.ndarray, z) -> np.ndarray:
     return phase * np.roll(psi, n)
 
 
+def _orthonormal_rows(q: np.ndarray) -> bool:
+    """Whether ``q @ q.T`` is the identity to ``HERMITE_GRAM_TOL`` (NaN fails)."""
+    gram = q @ q.T
+    gram[np.diag_indices(len(q))] -= 1.0
+    return bool(np.max(np.abs(gram)) <= HERMITE_GRAM_TOL)
+
+
 def hermite_system(length: int, count: int, center=(0, 0)) -> np.ndarray:
     """First ``count`` Hermite functions sampled on the grid, as rows.
 
     Continuous Hermite functions h_k are sampled at x = (j - L/2) / sqrt(L)
-    and re-orthonormalized in order k = 0..count-1 (the samples are only
-    approximately orthogonal) by QR with a positive diagonal, then each is
-    time-frequency shifted by ``center``.  For well-conditioned counts that
-    is the Gram-Schmidt basis to roundoff; as count nears L the sampled
-    family becomes nearly dependent and the trailing rows are one of many
-    equally orthonormal completions.  The k = 0 member is the sampled
-    Gaussian, so the unshifted family sits at the phase-plane origin.
+    and normalized, then each is time-frequency shifted by ``center``.
+    The samples are only approximately orthogonal: when their Gram matrix
+    is off the identity by more than ``HERMITE_GRAM_TOL``, or count is
+    below ``HERMITE_GRAM_MIN_COUNT``, they are re-orthonormalized in order
+    k = 0..count-1 by QR with a positive diagonal instead.  For
+    well-conditioned counts that is the Gram-Schmidt basis to roundoff; as
+    count nears L the sampled family becomes nearly dependent and the
+    trailing rows are one of many equally orthonormal completions.  The
+    k = 0 member is the sampled Gaussian, so the unshifted family sits at
+    the phase-plane origin.
     """
     check_length(length)
     if not 1 <= count <= length:
@@ -101,11 +116,14 @@ def hermite_system(length: int, count: int, center=(0, 0)) -> np.ndarray:
         h[1] = math.sqrt(2) * u * h[0]
     for k in range(2, count):
         h[k] = math.sqrt(2 / k) * u * h[k - 1] - math.sqrt((k - 1) / k) * h[k - 2]
-    q, r = np.linalg.qr(h.T)
-    pivots = np.diag(r)
-    if np.min(np.abs(pivots)) < 1e-300:
-        raise ValidationError("family is numerically linearly dependent")
-    q = (q * np.sign(pivots)).T.astype(np.complex128, order="C")
+    q = h / np.linalg.norm(h, axis=1, keepdims=True)
+    if count < HERMITE_GRAM_MIN_COUNT or not _orthonormal_rows(q):
+        q, r = np.linalg.qr(h.T)
+        pivots = np.diag(r)
+        if np.min(np.abs(pivots)) < 1e-300:
+            raise ValidationError("family is numerically linearly dependent")
+        q = (q * np.sign(pivots)).T
+    q = q.astype(np.complex128, order="C")
     if center == (0, 0):
         return q
     n, m = center

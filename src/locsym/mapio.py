@@ -25,13 +25,18 @@ rows that need it.  One call allocates its work buffers once (0.6 MB) and
 every block is formatted in them, each step writing through ``out=``; a
 fresh temporary per step costs more in page faults than the arithmetic.
 The lookup tables are built on the first call and kept.
+
+Every file locsym writes is opened by ``_open_new``: an existing file is
+unlinked and a new one created, never truncated and rewritten.
 """
 
 from __future__ import annotations
 
+import errno
 import functools
 import itertools
 import math
+import os
 import re
 import warnings
 
@@ -43,6 +48,27 @@ PGM_MAXVAL = 65535
 
 # a header token, or a # comment, which runs to the end of its line
 _PGM_TOKEN = re.compile(rb"#[^\n]*|(\S+)")
+
+
+def _open_new(path, mode="xb"):
+    """Open a new file at ``path`` in place of any file there.
+
+    ``mode`` is ``"xb"`` or ``"x"``.  The path is resolved first, so a
+    symlink still points at the file written.  An existing file is
+    unlinked, then the new one is created with ``O_CREAT | O_EXCL``; the
+    old inode is never truncated.  On ext4 (``auto_da_alloc``) closing a
+    file that was truncated and rewritten starts its writeback at once, and
+    the next rewrite of the path waits on that I/O.  A file there that the
+    user may not write raises PermissionError before anything is touched.
+    """
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.access(target, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+    try:
+        os.unlink(target)
+    except FileNotFoundError:
+        pass
+    return open(target, mode)
 
 
 def load_pgm(path, value_range=(0.0, 1.0)) -> np.ndarray:
@@ -106,7 +132,7 @@ def save_pgm(grid, path, value_range=(0.0, 1.0)):
     f /= hi - lo
     f *= PGM_MAXVAL
     gray = np.round(f, out=f).astype(">u2", order="C")
-    with open(path, "wb") as fh:
+    with _open_new(path) as fh:
         fh.write(f"P5\n{f.shape[1]} {f.shape[0]}\n{PGM_MAXVAL}\n".encode())
         fh.write(gray)
 
@@ -227,7 +253,7 @@ def _format_block(block: np.ndarray, tables: tuple, work: tuple) -> bytes:
     np.copyto(k, err, casting="unsafe")
     np.subtract(16 - _P_MIN, k, out=idx)
     for row, out in zip(pow10, (head, tail, lo)):
-        np.take(row, idx, out=out, mode="clip")
+        row.take(idx, out=out, mode="clip")
     np.multiply(a, np.add(head, tail, out=hi), out=hi)
     # a * 10**p - hi to ~1e-15: Dekker's exact product error, plus a * lo
     np.multiply(a, _SPLIT, out=a_head)
@@ -269,20 +295,20 @@ def _format_block(block: np.ndarray, tables: tuple, work: tuple) -> bytes:
     np.floor_divide(c1, 10 ** 4, out=idx)
     c1 -= np.multiply(idx, 10 ** 4, out=below)
     words, words4 = staged.view("<u8"), staged.view("<u4")
-    words[:, 0] = np.take(lead, idx, out=word, mode="clip")
-    np.take(last[0], c1, out=nd, mode="clip")
+    words[:, 0] = lead.take(idx, out=word, mode="clip")
+    last[0].take(c1, out=nd, mode="clip")
     for col, (c, table) in enumerate(zip(chunks, last), 2):
-        words4[:, col] = np.take(digits4, c, out=digits, mode="clip")
-        np.maximum(nd, np.take(table, c, out=place, mode="clip"), out=nd)
+        words4[:, col] = digits4.take(c, out=digits, mode="clip")
+        np.maximum(nd, table.take(c, out=place, mode="clip"), out=nd)
     np.subtract(k, _K_MIN, out=idx)  # the row of k in the k tables
-    words[:, 3] = np.take(exp, idx, out=word, mode="clip")
+    words[:, 3] = exp.take(idx, out=word, mode="clip")
     staged[ncol - 1::ncol, _SEP] = ord("\n")
 
-    layout = np.take(layout0, idx, out=d, mode="clip")
+    layout = layout0.take(idx, out=d, mode="clip")
     layout += np.multiply(np.signbit(x, out=flag), _NEG, out=below)
     layout += nd  # the significant digits less one
     keep = bank[4:8].ravel()[:4 * n].view("<u8").reshape(n, 4)  # free rows
-    words &= np.take(masks, layout, axis=0, out=keep, mode="clip")
+    words &= masks.take(layout, axis=0, out=keep, mode="clip")
     moves = keep.view(np.uint8)[:, _MOVE]
     inner = np.flatnonzero(moves)
     if inner.size:  # put the point after dk, one k at a time
@@ -310,7 +336,7 @@ def save_csv(grid, path):
     if f.ndim != 2:
         raise ValidationError("map must be 2-d")
     nrow, ncol = f.shape
-    with open(path, "wb") as fh:
+    with _open_new(path) as fh:
         if ncol == 0:  # as np.savetxt: an empty line per row
             fh.write(b"\n" * nrow)
             return

@@ -23,6 +23,7 @@ import numpy as np
 from .core import WindowSystem, as_signal
 from .errors import NotSelfAdjointError, ValidationError
 from .gabor import _hermitian_matrix, _lag_table
+from .mapio import _open_new
 
 HERMITIAN_REJECT_TOL = 1e-6
 _ASYM_BLOCK = 4096  # entries per block of rows in the asymmetry check
@@ -222,7 +223,7 @@ def eigendecompose(op: LocOperator) -> Spectrum:
 def save_locop(op: LocOperator, path):
     """Binary dump: 16-byte header (magic ``LOCOP1``, u32 L), then the
     matrix row-major as little-endian float64 (real, imag) pairs."""
-    with open(path, "wb") as fh:
+    with _open_new(path) as fh:
         fh.write(_DUMP_HEADER.pack(_DUMP_MAGIC, op.size))
         fh.write(np.ascontiguousarray(op.matrix, dtype="<c16").tobytes())
 

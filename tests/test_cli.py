@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from locsym import cli, load_csv, load_pgm
+from locsym.bench import report_csv
 from locsym.cli import main
 
 
@@ -206,6 +207,44 @@ def test_bench_command(tmp_path, circle):
     report = json.loads((out / "report.json").read_text())
     assert len(report["rows"]) == 5
     assert (out / "report.txt").exists() and (out / "report.csv").exists()
+
+
+def test_outputs_replace_longer_files_at_their_paths(tmp_path, circle):
+    junk = b"9," * 50000
+    for name in ("est.pgm", "est.csv", "est.json"):
+        (tmp_path / name).write_bytes(junk)
+    for name in ("fresh", "est"):
+        assert run("recover", "--method", "gp", "--symbol", circle,
+                   "--size", 32, "--out", tmp_path / name) == 0
+    for ext in ("pgm", "csv"):
+        assert ((tmp_path / f"est.{ext}").read_bytes()
+                == (tmp_path / f"fresh.{ext}").read_bytes())
+    text = (tmp_path / "est.json").read_text()
+    assert text == cli._json_text(json.loads(text))
+
+
+def test_bench_report_replaces_a_longer_file(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(bench_config_text())
+    out = tmp_path / "report"
+    out.mkdir()
+    (out / "report.csv").write_text("symbol,method\n" * 10000)
+    assert run("bench", "--config", cfg, "--out", out) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert (out / "report.csv").read_text() == report_csv(report)
+
+
+def test_read_only_output_exits_2_and_keeps_its_bytes(tmp_path, circle, capsys,
+                                                      make_read_only):
+    out = tmp_path / "est"
+    assert run("recover", "--method", "gp", "--symbol", circle,
+               "--size", 32, "--out", out) == 0
+    old = (tmp_path / "est.csv").read_bytes()
+    make_read_only(tmp_path / "est.csv")
+    assert run("recover", "--method", "was", "--symbol", circle,
+               "--size", 32, "--eigs", 4, "--out", out) == 2
+    assert "Permission denied" in capsys.readouterr().err
+    assert (tmp_path / "est.csv").read_bytes() == old
 
 
 def test_unknown_method_exits_2(tmp_path, circle, capsys):

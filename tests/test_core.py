@@ -120,6 +120,16 @@ class TestHermiteSystem:
             gram = q @ q.conj().T
             assert np.max(np.abs(gram - np.eye(length))) < 1e-8
 
+    @pytest.mark.parametrize("L,count,longer", [
+        (256, 128, 200), (255, 127, 255), (512, 256, 400)])
+    def test_orthonormal_samples_are_the_qr_basis(self, L, count, longer):
+        # these samples pass the Gram test as they are; a longer family
+        # fails it and takes the QR, whose leading rows depend only on the
+        # leading samples
+        q = hermite_system(L, count)
+        assert np.max(np.abs(q @ q.conj().T - np.eye(count))) < 1e-14
+        assert np.max(np.abs(q - hermite_system(L, longer)[:count])) < 1e-14
+
     def test_ground_state_matches_gaussian(self):
         h = hermite_system(128, 1)[0]
         assert np.max(np.abs(h - make_gaussian_window(128))) < 1e-3

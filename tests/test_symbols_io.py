@@ -3,16 +3,19 @@
 import io
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from locsym import (PgmError, SymbolSpec, ValidationError, WindowSystem,
-                    build_locop, gaussian_blur, gen_symbol, gp_recover,
-                    hermite_system, impulse_kernel, load_csv, load_pgm,
-                    make_gaussian_window, save_csv, save_pgm, wn_recover)
+from locsym import (LocOperator, PgmError, SymbolSpec, ValidationError,
+                    WindowSystem, build_locop, gaussian_blur, gen_symbol,
+                    gp_recover, hermite_system, impulse_kernel, load_csv,
+                    load_pgm, make_gaussian_window, save_csv, save_locop,
+                    save_pgm, wn_recover)
+from locsym import mapio
 
 
 class TestGeneration:
@@ -360,3 +363,75 @@ class TestCsv:
         save_pgm(base, path)
         f = gen_symbol(SymbolSpec("bitmap", 32, {"path": str(path)}))
         assert np.max(np.abs(f - base)) <= 1.0 / 65535
+
+
+# every writer, with a map of size n
+WRITERS = {
+    "csv": lambda n, path: save_csv(np.linspace(0.0, 1.0, n * n).reshape(n, n), path),
+    "pgm": lambda n, path: save_pgm(np.linspace(0.0, 1.0, n * n).reshape(n, n), path),
+    "locop": lambda n, path: save_locop(LocOperator(np.eye(n, dtype=complex)), path),
+}
+
+
+class TestReplace:
+    """A writer replaces the file at its path: unlink, then create anew."""
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_rewrite_over_a_longer_file_gives_the_new_bytes(self, tmp_path, writer):
+        write = WRITERS[writer]
+        write(8, tmp_path / "fresh")
+        path = tmp_path / "out"
+        write(16, path)
+        write(8, path)
+        assert path.read_bytes() == (tmp_path / "fresh").read_bytes()
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_a_hard_link_keeps_the_old_bytes(self, tmp_path, writer):
+        write = WRITERS[writer]
+        path, link = tmp_path / "out", tmp_path / "link"
+        write(16, path)
+        old = path.read_bytes()
+        os.link(path, link)
+        write(8, path)
+        assert link.read_bytes() == old
+        assert path.read_bytes() != old
+
+    def test_a_symlinked_path_writes_its_target(self, tmp_path):
+        (tmp_path / "real").mkdir()
+        target, link = tmp_path / "real" / "map.csv", tmp_path / "map.csv"
+        save_csv(np.ones((16, 16)), target)
+        link.symlink_to(target)
+        f = np.full((8, 8), 0.25)
+        save_csv(f, link)
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_bytes() == savetxt_bytes(f)
+
+    def test_a_read_only_file_is_refused_untouched(self, tmp_path, make_read_only):
+        path = tmp_path / "map.csv"
+        save_csv(np.ones((16, 16)), path)
+        old = path.read_bytes()
+        make_read_only(path)
+        with pytest.raises(PermissionError):
+            save_csv(np.zeros((8, 8)), path)
+        assert path.read_bytes() == old
+
+    def test_a_write_that_fails_midway_leaves_a_file_load_csv_rejects(
+            self, tmp_path, monkeypatch):
+        n = 100  # 40 rows a block
+        path = tmp_path / "map.csv"
+        save_csv(np.ones((n, n)), path)
+        calls = []
+        format_block = mapio._format_block
+
+        def fail_on_second_block(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("write interrupted")
+            return format_block(*args)
+
+        monkeypatch.setattr(mapio, "_format_block", fail_on_second_block)
+        with pytest.raises(RuntimeError):
+            save_csv(np.zeros((n, n)), path)
+        with pytest.raises(ValidationError):
+            load_csv(path)
+
