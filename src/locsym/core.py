@@ -17,11 +17,11 @@ from .errors import ValidationError
 
 UNIT_NORM_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-12
-# sampled Hermite rows this close to orthonormal are kept as they are ...
-HERMITE_GRAM_TOL = 1e-14
-# ... in families of at least this many; a smaller one (a hermite:k window)
-# always takes the QR, which costs it tens of microseconds and keeps its bits
-HERMITE_GRAM_MIN_COUNT = 16
+# sampled Hermite rows this close to orthonormal are kept as they are
+_HERMITE_GRAM_TOL = 1e-14
+# a family below this many rows always takes the QR; the floor exists only to
+# keep the bytes of hermite:k windows, which the QR leaves off by roundoff
+_HERMITE_GRAM_MIN_COUNT = 16
 # one dense complex L x L matrix at this L takes 256 MiB
 MAX_LENGTH = 4096
 LENGTH_RULE = f"an integer in 4..{MAX_LENGTH}"
@@ -81,11 +81,13 @@ def tf_shift(psi: np.ndarray, z) -> np.ndarray:
     return phase * np.roll(psi, n)
 
 
-def _orthonormal_rows(q: np.ndarray) -> bool:
-    """Whether ``q @ q.T`` is the identity to ``HERMITE_GRAM_TOL`` (NaN fails)."""
+def _orthonormal_samples(h: np.ndarray):
+    """The rows of ``h`` normalized, if their Gram matrix is the identity to
+    ``_HERMITE_GRAM_TOL``; otherwise None (NaN fails)."""
+    q = h / np.linalg.norm(h, axis=1, keepdims=True)
     gram = q @ q.T
     gram[np.diag_indices(len(q))] -= 1.0
-    return bool(np.max(np.abs(gram)) <= HERMITE_GRAM_TOL)
+    return q if np.max(np.abs(gram)) <= _HERMITE_GRAM_TOL else None
 
 
 def hermite_system(length: int, count: int, center=(0, 0)) -> np.ndarray:
@@ -94,14 +96,16 @@ def hermite_system(length: int, count: int, center=(0, 0)) -> np.ndarray:
     Continuous Hermite functions h_k are sampled at x = (j - L/2) / sqrt(L)
     and normalized, then each is time-frequency shifted by ``center``.
     The samples are only approximately orthogonal: when their Gram matrix
-    is off the identity by more than ``HERMITE_GRAM_TOL``, or count is
-    below ``HERMITE_GRAM_MIN_COUNT``, they are re-orthonormalized in order
-    k = 0..count-1 by QR with a positive diagonal instead.  For
-    well-conditioned counts that is the Gram-Schmidt basis to roundoff; as
-    count nears L the sampled family becomes nearly dependent and the
-    trailing rows are one of many equally orthonormal completions.  The
-    k = 0 member is the sampled Gaussian, so the unshifted family sits at
-    the phase-plane origin.
+    is off the identity by more than ``_HERMITE_GRAM_TOL`` they are
+    re-orthonormalized in order k = 0..count-1 by QR with a positive
+    diagonal instead.  A family below ``_HERMITE_GRAM_MIN_COUNT`` rows, or
+    above L/2 rows, takes the QR without the test: every such family
+    measured fails it, and above L/2 the Gram product costs about as much
+    as the QR.  For well-conditioned counts the QR gives the Gram-Schmidt
+    basis to roundoff; as count nears L the sampled family becomes nearly
+    dependent and the trailing rows are one of many equally orthonormal
+    completions.  The k = 0 member is the sampled Gaussian, so the
+    unshifted family sits at the phase-plane origin.
     """
     check_length(length)
     if not 1 <= count <= length:
@@ -116,8 +120,10 @@ def hermite_system(length: int, count: int, center=(0, 0)) -> np.ndarray:
         h[1] = math.sqrt(2) * u * h[0]
     for k in range(2, count):
         h[k] = math.sqrt(2 / k) * u * h[k - 1] - math.sqrt((k - 1) / k) * h[k - 2]
-    q = h / np.linalg.norm(h, axis=1, keepdims=True)
-    if count < HERMITE_GRAM_MIN_COUNT or not _orthonormal_rows(q):
+    q = None
+    if _HERMITE_GRAM_MIN_COUNT <= count <= length // 2:
+        q = _orthonormal_samples(h)
+    if q is None:
         q, r = np.linalg.qr(h.T)
         pivots = np.diag(r)
         if np.min(np.abs(pivots)) < 1e-300:

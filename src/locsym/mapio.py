@@ -26,8 +26,9 @@ every block is formatted in them, each step writing through ``out=``; a
 fresh temporary per step costs more in page faults than the arithmetic.
 The lookup tables are built on the first call and kept.
 
-Every file locsym writes is opened by ``_open_new``: an existing file is
-unlinked and a new one created, never truncated and rewritten.
+Every file locsym writes is opened by ``_open_new``: an existing regular
+file is unlinked and a new one created, never truncated and rewritten; a
+device, FIFO or standard stream is written in place.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import itertools
 import math
 import os
 import re
+import stat
 import warnings
 
 import numpy as np
@@ -51,24 +53,44 @@ _PGM_TOKEN = re.compile(rb"#[^\n]*|(\S+)")
 
 
 def _open_new(path, mode="xb"):
-    """Open a new file at ``path`` in place of any file there.
+    """Open a new file at ``path`` in place of any regular file there.
 
     ``mode`` is ``"xb"`` or ``"x"``.  The path is resolved first, so a
-    symlink still points at the file written.  An existing file is
+    symlink still points at the file written.  An existing regular file is
     unlinked, then the new one is created with ``O_CREAT | O_EXCL``; the
     old inode is never truncated.  On ext4 (``auto_da_alloc``) closing a
     file that was truncated and rewritten starts its writeback at once, and
     the next rewrite of the path waits on that I/O.  A file there that the
     user may not write raises PermissionError before anything is touched.
+    Anything else at the path (a device such as /dev/null, a FIFO, a pipe
+    or a standard stream named as /dev/stdout) is opened and truncated in
+    place, since replacing it would cut off whoever reads it.
     """
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and (not stat.S_ISREG(st.st_mode) or _is_std_stream(st)):
+        return open(path, mode.replace("x", "w"))
     target = os.path.realpath(path)
-    if os.path.exists(target) and not os.access(target, os.W_OK):
+    if st is not None and not os.access(target, os.W_OK):
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
     try:
         os.unlink(target)
     except FileNotFoundError:
         pass
     return open(target, mode)
+
+
+def _is_std_stream(st) -> bool:
+    """Whether ``st`` is the file of stdin, stdout or stderr."""
+    for fd in (0, 1, 2):
+        try:
+            if os.path.samestat(st, os.fstat(fd)):
+                return True
+        except OSError:
+            pass
+    return False
 
 
 def load_pgm(path, value_range=(0.0, 1.0)) -> np.ndarray:

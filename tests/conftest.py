@@ -21,6 +21,20 @@ def eigh_calls(monkeypatch):
 
 
 @pytest.fixture
+def qr_calls(monkeypatch):
+    """Count numpy.linalg.qr calls; the list grows by one per call."""
+    calls = []
+    qr = np.linalg.qr
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return qr(matrix)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    return calls
+
+
+@pytest.fixture
 def make_read_only(monkeypatch):
     """Clear a file's write bits so that ``os.access`` reports it read-only.
 

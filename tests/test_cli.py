@@ -1,6 +1,8 @@
 """Command-line interface: workflows, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
 import sys
 import warnings
 
@@ -245,6 +247,29 @@ def test_read_only_output_exits_2_and_keeps_its_bytes(tmp_path, circle, capsys,
                "--size", 32, "--eigs", 4, "--out", out) == 2
     assert "Permission denied" in capsys.readouterr().err
     assert (tmp_path / "est.csv").read_bytes() == old
+
+
+def run_script(*argv, stdout):
+    """Run the CLI in a new interpreter with its stdout on ``stdout``."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "locsym.cli", *map(str, argv)],
+                          stdout=stdout, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_csv_to_dev_stdout_writes_the_stream_in_place(tmp_path):
+    gen = ("gen-symbol", "--kind", "circle", "--size", 16,
+           "--out", tmp_path / "c.pgm", "--csv")
+    assert run(*gen, tmp_path / "c.csv") == 0
+    expected = (tmp_path / "c.csv").read_bytes()
+    piped = run_script(*gen, "/dev/stdout", stdout=subprocess.PIPE)
+    assert piped.returncode == 0 and piped.stdout == expected
+    # stdout redirected into a file: that file is written, not replaced
+    path = tmp_path / "stdout.txt"
+    with open(path, "wb") as fh:
+        assert run_script(*gen, "/dev/stdout", stdout=fh).returncode == 0
+        assert os.path.samestat(os.fstat(fh.fileno()), os.stat(path))
+    assert path.read_bytes() == expected
 
 
 def test_unknown_method_exits_2(tmp_path, circle, capsys):

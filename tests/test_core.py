@@ -130,6 +130,16 @@ class TestHermiteSystem:
         assert np.max(np.abs(q @ q.conj().T - np.eye(count))) < 1e-14
         assert np.max(np.abs(q - hermite_system(L, longer)[:count])) < 1e-14
 
+    @pytest.mark.parametrize("L,count,qrs", [
+        (256, 128, 0), (256, 16, 0), (256, 15, 1), (256, 2, 1), (64, 32, 1),
+        (256, 200, 1)])
+    def test_only_small_or_non_orthonormal_families_take_the_qr(
+            self, qr_calls, L, count, qrs):
+        # below 16 rows (hermite:k windows) the QR keeps the bytes; (64, 32)
+        # fails the Gram test; above L/2 the test is not even run
+        hermite_system(L, count)
+        assert len(qr_calls) == qrs
+
     def test_ground_state_matches_gaussian(self):
         h = hermite_system(128, 1)[0]
         assert np.max(np.abs(h - make_gaussian_window(128))) < 1e-3

@@ -4,6 +4,7 @@ import io
 import itertools
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -405,6 +406,21 @@ class TestReplace:
         save_csv(f, link)
         assert link.is_symlink() and link.resolve() == target.resolve()
         assert target.read_bytes() == savetxt_bytes(f)
+
+    def test_a_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "map.csv"
+        os.mkfifo(fifo)
+        # the CSV of an 8 x 8 map fits the pipe buffer, so no reader thread
+        # is needed, and a writer that replaced the FIFO cannot hang the test
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        f = np.full((8, 8), 0.25)
+        try:
+            save_csv(f, fifo)
+            data = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert data == savetxt_bytes(f)
 
     def test_a_read_only_file_is_refused_untouched(self, tmp_path, make_read_only):
         path = tmp_path / "map.csv"
