@@ -11,6 +11,8 @@ offset (a circular roll of L//2 along the time axis) before comparison.
 
 from __future__ import annotations
 
+import csv
+import io
 import time
 
 import numpy as np
@@ -88,8 +90,8 @@ def _check_config(config) -> None:
         raise ValidationError("bench config needs 'size'")
 
 
-def _symbol_specs(entries, size: int) -> list:
-    specs = []
+def _symbol_specs(entries, size: int) -> dict:
+    specs = {}
     for index, entry in enumerate(entries):
         try:
             check_fields(entry, _SYMBOL_CHECKS, "symbol")
@@ -100,7 +102,11 @@ def _symbol_specs(entries, size: int) -> list:
             name = entry.get("name") if isinstance(entry, dict) else None
             where = f"symbols[{index}]" + (f" ({name!r})" if name else "")
             raise ValidationError(f"{where}: {exc}") from exc
-        specs.append((entry.get("name", spec.kind), spec))
+        name = entry.get("name", spec.kind)
+        if name in specs:
+            raise ValidationError(f"symbols[{index}] ({name!r}): duplicate name; "
+                                  'give each entry a unique "name"')
+        specs[name] = spec
     return specs
 
 
@@ -131,8 +137,8 @@ def bench_all(config: dict) -> dict:
     are integers, ``sigma2`` a real number, ``window`` a string or a
     non-empty list of strings, ``recon_window`` a string or null, and
     ``symbols`` a list of objects, each with an optional string ``name``
-    and the ``kind``, ``params`` and ``value_range`` that ``SymbolSpec``
-    checks.
+    (default: its kind; no two entries may share one) and the ``kind``,
+    ``params`` and ``value_range`` that ``SymbolSpec`` checks.
     """
     _check_config(config)
     size = int(config["size"])
@@ -147,7 +153,7 @@ def bench_all(config: dict) -> dict:
     windows, phi = resolve_windows(window_spec, recon_spec, size)
 
     rows = []
-    for name, spec in specs:
+    for name, spec in specs.items():
         truth = gen_symbol(spec)
         signed = spec.value_range[0] < 0.0
         op = build_locop(truth, windows)
@@ -175,16 +181,15 @@ def bench_all(config: dict) -> dict:
         "sigma2": sigma2,
         "seed": seed,
         "eig_terms": terms,
-        "symbols": [name for name, _ in specs],
+        "symbols": list(specs),
     }
     return {"schema_version": SCHEMA_VERSION, "config": resolved, "rows": rows}
 
 
 def report_text(report: dict) -> str:
     """Aligned text table, percentages with one decimal."""
-    percent = {}  # the first row of each (symbol, method) cell
-    for row in report["rows"]:
-        percent.setdefault((row["symbol"], row["method"]), row["percent"])
+    percent = {(row["symbol"], row["method"]): row["percent"]
+               for row in report["rows"]}
     symbols = dict.fromkeys(name for name, _ in percent)
     lines = ["symbol                 " + "".join(f"{m.upper():>8}" for m in METHODS)]
     for name in symbols:
@@ -194,10 +199,11 @@ def report_text(report: dict) -> str:
 
 
 def report_csv(report: dict) -> str:
-    lines = ["symbol,method,rel_l1_error,percent,seconds"]
-    for row in report["rows"]:
-        lines.append(
-            f"{row['symbol']},{row['method']},{row['rel_l1_error']:.17g},"
-            f"{row['percent']:.17g},{row['seconds']:.6f}"
-        )
-    return "\n".join(lines) + "\n"
+    """CSV table, one row per (symbol, method); names are quoted as needed."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [("symbol", "method", "rel_l1_error", "percent", "seconds")]
+        + [(row["symbol"], row["method"], f"{row['rel_l1_error']:.17g}",
+            f"{row['percent']:.17g}", f"{row['seconds']:.6f}")
+           for row in report["rows"]])
+    return buf.getvalue()

@@ -21,8 +21,10 @@ over a window system, and a unit mass at the half-lag the Weyl symbol.
 ``_lag_table`` is the one place such diagonals are formed: the same
 table is the lag table of a symbol and the rows of the window operator
 S = sum_k w_k g_k g_k* or of a rank-one psi psi*.  So the analytic
-impulse kernel and the Wigner distribution are symbolized from their
-tables; neither S nor psi psi* is ever formed as an L x L matrix.
+impulse kernel, the spectrogram, Cohen's class and the Wigner
+distribution are symbolized from their tables; neither S nor psi psi* is
+ever formed as an L x L matrix.  The lower symbol of a PSD matrix is
+clipped at zero in one place, ``_psd_symbol``.
 
 This module alone owns the (d, s) layout of the half lattice, in both
 directions: ``_hermitian_rows`` takes the diagonals of the Hermitian
@@ -184,6 +186,23 @@ def weyl_symbol(matrix: np.ndarray) -> np.ndarray:
                            _midpoint_lag_spectrum(length))
 
 
+def _psd_symbol(rows: np.ndarray, windows: np.ndarray, weights=None):
+    """Lower symbol of a PSD matrix clipped at zero, and the clipped magnitude.
+
+    ``rows`` are the matrix's diagonals d = 0..L//2, so a caller can free
+    the L x L matrix before the lag spectrum and the FFTs, which run in
+    ``rows``.  ``windows`` and ``weights`` give the lag table as in
+    ``_lag_table``: one window, or a weighted system of them.  A window
+    length other than the matrix size L raises ValidationError.
+    """
+    if windows.shape[-1] != rows.shape[1]:
+        raise ValidationError(f"signal length {rows.shape[1]} != "
+                              f"window length {windows.shape[-1]}")
+    est = _symbol_of_half(rows, np.fft.fft(_lag_table(windows, weights), axis=1))
+    clip = max(0.0, -float(est.min()))
+    return np.maximum(est, 0.0, out=est), clip
+
+
 def dgt(psi, g) -> np.ndarray:
     """Discrete Gabor transform V[n, m] = <psi, pi(n, m) g>.
 
@@ -211,6 +230,9 @@ def dgt_adjoint(coeffs, g) -> np.ndarray:
 
 
 def spectrogram(psi, g) -> np.ndarray:
-    """|dgt|^2, the energy distribution over the phase plane."""
-    v = dgt(psi, g)
-    return v.real ** 2 + v.imag ** 2
+    """|dgt(psi, g)|^2, the energy distribution over the phase plane.
+
+    The lower symbol of the rank-one psi psi* against g, from psi's lag
+    table, clipped at zero.
+    """
+    return _psd_symbol(_lag_table(as_signal(psi)), as_signal(g))[0]

@@ -181,26 +181,20 @@ def hermitian_part(op: LocOperator) -> np.ndarray:
     """(h + h*) / 2 of an operator that is Hermitian up to roundoff.
 
     Raises NotSelfAdjointError when the asymmetry max |h - h*| exceeds
-    HERMITIAN_REJECT_TOL.  The asymmetry is taken a block of rows at a
-    time, and the result is the only L x L array made.
+    HERMITIAN_REJECT_TOL.  h* is formed once, in the result's buffer, and
+    the asymmetry is taken against it a block of rows at a time, so the
+    result is the only L x L array made.
     """
     h = op.matrix
-    size = h.shape[0]
-    rows = max(1, _ASYM_BLOCK // max(size, 1))
-    diff = np.empty((min(rows, size), size), dtype=h.dtype)
-    mag = np.empty(diff.shape)
-    asym = 0.0
-    for i in range(0, size, rows):
-        j = min(i + rows, size)
-        block = np.conjugate(h[:, i:j].T, out=diff[:j - i])
-        np.subtract(h[i:j], block, out=block)
-        asym = max(asym, float(np.max(np.abs(block, out=mag[:j - i]))))
+    herm = np.conjugate(h.T, out=np.empty_like(h))
+    rows = max(1, _ASYM_BLOCK // max(h.shape[0], 1))
+    asym = max((float(np.max(np.abs(h[i:i + rows] - herm[i:i + rows])))
+                for i in range(0, h.shape[0], rows)), default=0.0)
     if asym > HERMITIAN_REJECT_TOL:
         raise NotSelfAdjointError(
             f"operator asymmetry {asym:.3e} exceeds {HERMITIAN_REJECT_TOL}; "
             "complex symbol or invalid window system?"
         )
-    herm = np.conjugate(h.T, out=np.empty_like(h))
     herm += h  # h* + h has the bits of h + h*
     herm /= 2  # not *= 0.5: complex division signs its zeros differently
     return herm

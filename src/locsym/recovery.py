@@ -27,7 +27,7 @@ wawd the half-lag unit mass (``weyl_symbol``).  The analytic impulse
 kernel is the lower symbol of the window operator S = sum_k s_k g_k g_k*,
 whose diagonals are that same system table (``gabor._lag_table``), so S
 itself is never formed.  wn, pt, wn_limit and the analytic kernel
-symbolize PSD matrices and are clipped at zero.
+symbolize PSD matrices and are clipped at zero by ``gabor._psd_symbol``.
 
 In finite dimension the identity chain is exact: gp over the full grid,
 was with all L eigenpairs and a rank-one reconstruction system, and the
@@ -45,7 +45,7 @@ import numpy as np
 from .core import WindowSystem, as_signal
 from .errors import DegenerateKernelError, NumericalError, ValidationError
 from .gabor import (_hermitian_rows, _lag_table, _midpoint_lag_spectrum,
-                    _symbol_of_half, hermitian_symbol)
+                    _psd_symbol, _symbol_of_half, hermitian_symbol)
 from .operator import (LocOperator, Spectrum, _eigen_sum, build_locop,
                        eigendecompose)
 
@@ -76,17 +76,6 @@ def _unit_window(phi, length: int) -> np.ndarray:
         raise ValidationError(
             f"reconstruction window must be unit-norm, got ||.|| = {nrm!r}")
     return phi
-
-
-def _psd_symbol(rows: np.ndarray, phi: np.ndarray):
-    """Lower symbol of a PSD matrix clipped at zero, and the clipped magnitude.
-
-    ``rows`` are the matrix's ``_hermitian_rows``, so a caller can free the
-    L x L matrix before the lag spectrum and the FFTs, which run in ``rows``.
-    """
-    est = _symbol_of_half(rows, np.fft.fft(_lag_table(phi), axis=1))
-    clip = max(0.0, -float(est.min()))
-    return np.maximum(est, 0.0, out=est), clip
 
 
 def wn_limit(spectrum: Spectrum, phi) -> np.ndarray:
@@ -342,9 +331,8 @@ def impulse_kernel(windows: WindowSystem, phi, mode: str = "analytic",
     length = windows.length
     phi = _unit_window(phi, length)
     if mode == "analytic":
-        kernel = _symbol_of_half(_lag_table(windows.windows, windows.weights),
-                                 np.fft.fft(_lag_table(phi), axis=1))
-        np.maximum(kernel, 0.0, out=kernel)
+        kernel = _psd_symbol(_lag_table(windows.windows, windows.weights),
+                             phi)[0]
         kernel /= length
         return kernel
     if mode != "measured":

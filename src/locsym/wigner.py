@@ -12,9 +12,11 @@ axis.  Downstream consumers flag even-length results accordingly.
 
 The distribution is the Weyl symbol of the rank-one psi psi*: the shared
 symbol kernel with a unit mass at the half-lag, k with 2k = d mod L, as
-its lag table (two masses at even L and even d, none at odd d).  The
-diagonals of psi psi* are psi's own lag table psi[u] conj(psi[u - d])
-(``gabor._lag_table``), so the L x L outer product is never formed.
+its lag table (two masses at even L and even d, none at odd d).  Cohen's
+class over a window system is the lower symbol of the same psi psi*
+against the system's lag table.  The diagonals of psi psi* are psi's own
+lag table psi[u] conj(psi[u - d]) (``gabor._lag_table``), so the L x L
+outer product is never formed.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import WindowSystem, as_signal
-from .errors import ValidationError
-from .gabor import _lag_table, _midpoint_lag_spectrum, _symbol_of_half, spectrogram
+from .gabor import _lag_table, _midpoint_lag_spectrum, _psd_symbol, _symbol_of_half
 
 
 def wigner(psi) -> np.ndarray:
@@ -39,15 +40,9 @@ def wigner(psi) -> np.ndarray:
 def cohen_class(psi, system: WindowSystem) -> np.ndarray:
     """Finite-rank Cohen's class: sum_k t_k |dgt(psi, tau_k)|^2.
 
-    Non-negative for positive window systems; reduces to the spectrogram
-    when the system is rank one.
+    The lower symbol of psi psi* against the system's lag table, clipped
+    at zero like every PSD symbol; it reduces to the spectrogram when the
+    system is rank one.
     """
-    psi = as_signal(psi)
-    if system.length != psi.size:
-        raise ValidationError(
-            f"window length {system.length} != signal length {psi.size}"
-        )
-    out = np.zeros((psi.size, psi.size))
-    for weight, tau in system:
-        out += weight * spectrogram(psi, tau)
-    return out
+    return _psd_symbol(_lag_table(as_signal(psi)), system.windows,
+                       system.weights)[0]

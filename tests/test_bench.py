@@ -1,5 +1,7 @@
 """Benchmark harness behavior."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -75,6 +77,27 @@ def test_text_and_csv_formatting():
     csv = report_csv(report)
     assert csv.splitlines()[0] == "symbol,method,rel_l1_error,percent,seconds"
     assert len(csv.splitlines()) == 6
+
+
+def fake_report(*names):
+    return {"rows": [{"symbol": name, "method": method, "rel_l1_error": 0.125,
+                      "percent": 12.5, "seconds": 0.25, "flags": {}}
+                     for name in names for method in ("wn", "gp")]}
+
+
+def test_csv_names_round_trip_through_a_csv_reader():
+    rows = list(csv.reader(io.StringIO(report_csv(fake_report('a,"b"', "c")))))
+    assert [row[:2] for row in rows] == [
+        ["symbol", "method"], ['a,"b"', "wn"], ['a,"b"', "gp"],
+        ["c", "wn"], ["c", "gp"]]
+    assert {len(row) for row in rows} == {5}
+
+
+def test_csv_of_plain_names_is_comma_joined():
+    assert report_csv(fake_report("circle")) == (
+        "symbol,method,rel_l1_error,percent,seconds\n"
+        "circle,wn,0.125,12.5,0.250000\n"
+        "circle,gp,0.125,12.5,0.250000\n")
 
 
 def test_numpy_integers_and_integer_ranges_are_valid():

@@ -549,6 +549,11 @@ MALFORMED_BENCH_CONFIGS = {
     "params-int": bench_config_text(
         symbols=[{"kind": "circle", "params": 5}]),
     "name-int": bench_config_text(symbols=[{"kind": "circle", "name": 3}]),
+    "name-duplicate": bench_config_text(symbols=[
+        {"kind": "circle", "name": "dup"}, {"kind": "star", "name": "dup"}]),
+    "name-duplicate-default": bench_config_text(
+        symbols=[{"kind": "tiles"}, {"kind": "tiles"}]),
+    "schema_version-2": bench_config_text(schema_version=2),
     "top-level-list": json.dumps([1, 2]),
     "not-json": '{"size": 16,',
 }
@@ -589,6 +594,16 @@ def test_bad_bench_symbol_is_named_by_index_and_name(tmp_path, capsys):
     assert run("bench", "--config", cfg, "--out", tmp_path / "out") == 2
     assert capsys.readouterr().err.startswith(
         "error: symbols[2] ('s3'): star params 'points' must be an integer")
+
+
+def test_duplicate_bench_name_is_named_by_index(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(bench_config_text(symbols=[
+        {"kind": "circle", "name": "s1"}, {"kind": "tiles"},
+        {"kind": "star", "name": "s1"}]))
+    assert run("bench", "--config", cfg, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == ("error: symbols[2] ('s1'): duplicate "
+                                       'name; give each entry a unique "name"\n')
 
 
 def test_region_wraps_around_the_torus(tmp_path, circle):
@@ -659,6 +674,16 @@ def test_malformed_symbol_params_exit_2(tmp_path, capsys, params):
                "--params", params, "--out", tmp_path / "c.pgm") == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "c.pgm").exists()
+
+
+@pytest.mark.parametrize("extra", [
+    ("--kind", "bitmap"), ("--kind", "star", "--params", '{"points": 1}')],
+    ids=["bitmap-without-path", "star-one-point"])
+def test_unusable_symbol_spec_exits_2(tmp_path, capsys, extra):
+    assert run("gen-symbol", *extra, "--size", 16,
+               "--out", tmp_path / "s.pgm") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "s.pgm").exists()
 
 
 MISTYPED_SYMBOL_PARAMS = {

@@ -129,6 +129,8 @@ def test_size_mismatch_rejected():
         dgt(np.ones(8), make_gaussian_window(16))
     with pytest.raises(ValidationError):
         dgt_adjoint(np.zeros((8, 8)), make_gaussian_window(16))
+    with pytest.raises(ValidationError):
+        spectrogram(np.ones(8), make_gaussian_window(16))
 
 
 def test_no_index_table_is_kept():

@@ -6,11 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from locsym import (SymbolSpec, WindowSystem, build_locop, deconvolve,
-                    eigendecompose, gen_symbol, gp_recover, hermite_system,
-                    impulse_kernel, load_locop, make_gaussian_window,
-                    pt_recover, save_csv, save_locop, save_pgm, standard_basis,
-                    was_recover, wawd_recover, wn_limit, wn_recover)
+from locsym import (SymbolSpec, WindowSystem, build_locop, cohen_class,
+                    deconvolve, eigendecompose, gen_symbol, gp_recover,
+                    hermite_system, impulse_kernel, load_locop,
+                    make_gaussian_window, pt_recover, save_csv, save_locop,
+                    save_pgm, spectrogram, standard_basis, was_recover,
+                    wawd_recover, wn_limit, wn_recover)
 
 L = 256
 UNIT = L * L * 16  # bytes of one dense complex L x L matrix
@@ -25,7 +26,11 @@ UNIT = L * L * 16  # bytes of one dense complex L x L matrix
 # and spectrum layers, measured the same way at 0.87 (save_csv), 0.81
 # (save_pgm), 1.07 (load_locop) and 1.22 (eigendecompose), were 1.18, 1.50,
 # 2.07 and 2.50 before they reused one set of buffers per call, read the
-# dump once and formed the Hermitian part in one array.
+# dump once and formed the Hermitian part in one array.  eigendecompose now
+# peaks at 1.13: the asymmetry is taken against the Hermitian part's own
+# buffer.  spectrogram and cohen_class (gauss + hermite:1), symbolized from
+# lag tables, peak at 1.51 and 1.77; through the Gabor transform, one
+# spectrogram per window, they peaked at 2.00 and 2.50.
 PEAK_BOUNDS = {
     "build_locop": 2.0,
     "gp_recover": 1.75,
@@ -38,14 +43,17 @@ PEAK_BOUNDS = {
     "save_csv": 1.12,
     "save_pgm": 1.06,
     "load_locop": 1.32,
-    "eigendecompose": 1.47,
+    "eigendecompose": 1.37,
+    "spectrogram": 1.76,
+    "cohen_class": 2.02,
 }
 
 
 @pytest.fixture(scope="module")
 def apply_calls(tmp_path_factory):
-    """The apply-only path at L = 256: a circle over gauss + hermite:1, and
-    the file and spectrum layers around it."""
+    """The apply-only path at L = 256: a circle over gauss + hermite:1, the
+    file and spectrum layers around it, and the time-frequency distributions
+    of a random signal."""
     windows = WindowSystem.from_pairs([(0.5, make_gaussian_window(L)),
                                        (0.5, hermite_system(L, 2)[1])])
     phi = windows.windows[0]
@@ -56,6 +64,7 @@ def apply_calls(tmp_path_factory):
     standard = standard_basis(L)
     hermite = hermite_system(L, L // 2, (L // 2, L // 2))
     spectrum = eigendecompose(op)
+    psi = np.random.default_rng(0).standard_normal(L) + 0j
     out = tmp_path_factory.mktemp("memory")
     save_locop(op, out / "op.locop")
     return {
@@ -71,6 +80,8 @@ def apply_calls(tmp_path_factory):
         "save_pgm": lambda: save_pgm(est, out / "est.pgm"),
         "load_locop": lambda: load_locop(out / "op.locop"),
         "eigendecompose": lambda: eigendecompose(op),  # eigh is deferred
+        "spectrogram": lambda: spectrogram(psi, phi),
+        "cohen_class": lambda: cohen_class(psi, windows),
     }
 
 

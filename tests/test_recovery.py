@@ -576,6 +576,16 @@ class TestImpulseKernel:
         assert np.max(np.abs(measured - impulse_kernel(ws, g))) < 1e-9
         assert eigh_calls == []
 
+    @pytest.mark.parametrize("mode,estimator,message", [
+        ("bogus", "gp", "unknown impulse mode 'bogus'"),
+        ("measured", "pt", "unsupported impulse estimator 'pt'")])
+    def test_unknown_mode_or_estimator_is_rejected(self, mode, estimator,
+                                                   message):
+        g = make_gaussian_window(16)
+        with pytest.raises(ValidationError, match=message):
+            impulse_kernel(WindowSystem.single(g), g, mode=mode,
+                           estimator=estimator)
+
     def test_mixed_state_kernel_is_weighted_sum(self):
         L = 32
         g = make_gaussian_window(L)

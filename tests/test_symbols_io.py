@@ -54,6 +54,16 @@ class TestGeneration:
         f = gaussian_blur(0.3 * np.ones((32, 32)), 2.0)
         np.testing.assert_allclose(f, 0.3, rtol=0, atol=1e-12)
 
+    def test_gaussian_blur_of_width_zero_is_a_copy(self):
+        f = np.random.default_rng(3).uniform(0, 1, (16, 16))
+        out = gaussian_blur(f, 0)
+        assert out is not f and not np.shares_memory(out, f)
+        np.testing.assert_array_equal(out, f)
+
+    def test_gaussian_blur_rejects_a_negative_width(self):
+        with pytest.raises(ValidationError, match="sigma must be >= 0"):
+            gaussian_blur(np.ones((16, 16)), -1)
+
     def test_tiles_checkerboard_structure(self):
         f = gen_symbol(SymbolSpec("tiles", 64, {"count": 4}))
         assert f[0, 0] == 1.0
@@ -284,6 +294,14 @@ class TestCsv:
         np.testing.assert_array_equal(np.isnan(back), nan)
         np.testing.assert_array_equal(back[~nan].view(np.uint64),
                                       f[~nan].view(np.uint64))
+
+    @pytest.mark.parametrize("nrow", [0, 1, 3])
+    def test_a_map_without_columns_writes_a_newline_per_row(self, tmp_path,
+                                                             nrow):
+        f = np.empty((nrow, 0))
+        path = tmp_path / "empty.csv"
+        save_csv(f, path)
+        assert path.read_bytes() == savetxt_bytes(f) == b"\n" * nrow
 
     def test_fallback_values_write_the_bytes_of_savetxt(self, tmp_path):
         # each value is non-finite, outside 1e-270..1e270, a rounding tie or
