@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--threads", type=int, default=0,
-                        help="cap BLAS/FFT threads, N >= 0 (0 = auto)")
+                        help="cap BLAS threads, N >= 0 (0 = leave as is)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     # options that several subcommands declare alike

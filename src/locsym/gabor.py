@@ -28,8 +28,9 @@ clipped at zero in one place, ``_psd_symbol``.
 
 This module alone owns the (d, s) layout of the half lattice, in both
 directions: ``_hermitian_rows`` takes the diagonals of the Hermitian
-part (M + M*)/2 of a general matrix, and ``_hermitian_matrix`` scatters
-such diagonals back into the dense Hermitian matrix.
+part (M + M*)/2 of a general matrix, ``_make_hermitian`` makes computed
+diagonals those of a Hermitian matrix, and ``_hermitian_matrix`` scatters
+them back into the dense Hermitian matrix.
 """
 
 from __future__ import annotations
@@ -74,9 +75,12 @@ def _lag_table(windows: np.ndarray, weights=None, out=None) -> np.ndarray:
     lag product, the diagonals of g g*, written into ``out`` if given.
     Otherwise ``windows`` holds one window per row; each lag product is
     written into one work buffer and added into the table, so memory does
-    not grow with their number.  No BLAS call: BLAS threading runs small
+    not grow with their number.  One window at weight 1 is its lag product,
+    made as with no ``weights``.  No BLAS call: BLAS threading runs small
     complex products at a flat ~16 ms in some processes.
     """
+    if weights is not None and len(weights) == 1 and weights[0] == 1.0:
+        windows, weights = windows[0], None
     if weights is not None:
         table = np.zeros(_half_lattice(windows.shape[1]).shape, dtype=complex)
         work = np.empty_like(table)
@@ -103,24 +107,35 @@ def _hermitian_rows(matrix: np.ndarray, length: int) -> np.ndarray:
     return rows
 
 
-def _hermitian_matrix(rows: np.ndarray) -> np.ndarray:
-    """The Hermitian H with H[s, s - d] = rows[d, s], d = 0..L//2.
+def _make_hermitian(rows: np.ndarray) -> np.ndarray:
+    """Make diagonals d = 0..L//2 those of a Hermitian matrix, in place.
 
-    The inverse of ``_hermitian_rows``.  Row 0, the main diagonal, is made
-    real, and at even L the second half of row L/2 is made the conjugate
-    of its first half, both in place, so H is Hermitian bit for bit.
-    ``rows`` is conjugated in place for the upper write and back for the
-    lower one, which lands last where the two meet.
+    Diagonals 0 and, at even L, L/2 are their own conjugate mirrors: row 0,
+    the main diagonal, is made real, and the second half of row L/2 the
+    conjugate of its first half.  Returns ``rows``.
     """
     length = rows.shape[1]
     rows[0] = rows[0].real
     if length % 2 == 0:
         rows[-1, length // 2:] = rows[-1, :length // 2].conj()
+    return rows
+
+
+def _hermitian_matrix(rows: np.ndarray) -> np.ndarray:
+    """The Hermitian H with H[s, s - d] = rows[d, s], d = 0..L//2.
+
+    The inverse of ``_hermitian_rows`` for rows passed through
+    ``_make_hermitian``, so H is Hermitian bit for bit.  ``rows`` is only
+    read: the upper write puts the rows in place and the whole of H is
+    conjugated, then the lower write lands last where the two meet.
+    """
+    length = rows.shape[1]
     idx = _half_lattice(length)
     s = np.arange(length)
     out = np.empty((length, length), dtype=np.complex128)
-    out[idx, s] = np.conjugate(rows, out=rows)
-    out[s, idx] = np.conjugate(rows, out=rows)
+    out[idx, s] = rows
+    np.conjugate(out, out=out)
+    out[s, idx] = rows
     return out
 
 

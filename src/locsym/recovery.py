@@ -5,8 +5,12 @@ Weyl-type symbol of one matrix M; A_N keeps A's N leading eigenpairs.
 ``recover(method, op, phi, ...)`` is the one method dispatch over the
 public estimators.  was and wawd read eigenpairs of the lazy
 ``eigendecompose`` spectrum only to truncate: with all L terms A_N is the
-Hermitian part of A (``Spectrum.matrix``), so was(L) is the lower symbol
-of A and wawd(L) its Weyl symbol, and neither runs ``eigh``.
+Hermitian part of A, so was(L) is the lower symbol of A and wawd(L) its
+Weyl symbol, and neither runs ``eigh``.  Of an operator that
+``build_locop`` made from a real symbol they, gp and the measured impulse
+kernels symbolize a copy of its half-lattice rows, so none of them forms
+the dense matrix; of any other they gather the rows from the Hermitian
+part (``Spectrum.matrix``) or from A.
 
 Methods
 -------
@@ -45,7 +49,7 @@ import numpy as np
 from .core import WindowSystem, as_signal
 from .errors import DegenerateKernelError, NumericalError, ValidationError
 from .gabor import (_hermitian_rows, _lag_table, _midpoint_lag_spectrum,
-                    _psd_symbol, _symbol_of_half, hermitian_symbol)
+                    _psd_symbol, _symbol_of_half)
 from .operator import (LocOperator, Spectrum, _eigen_sum, build_locop,
                        eigendecompose)
 
@@ -76,6 +80,21 @@ def _unit_window(phi, length: int) -> np.ndarray:
         raise ValidationError(
             f"reconstruction window must be unit-norm, got ||.|| = {nrm!r}")
     return phi
+
+
+def _rows(source, length: int) -> np.ndarray:
+    """Writable diagonals d = 0..L//2 of the Hermitian part of ``source``.
+
+    ``source`` is an operator or a spectrum: a copy of the rows it holds,
+    else ``_hermitian_rows`` of its matrix.  ``length`` is the window
+    length they are checked against.
+    """
+    if source.rows is None:
+        return _hermitian_rows(source.matrix, length)
+    if source.size != length:
+        raise ValidationError(
+            f"matrix {(source.size,) * 2} != window length {length}")
+    return source.rows.copy()
 
 
 def wn_limit(spectrum: Spectrum, phi) -> np.ndarray:
@@ -144,12 +163,14 @@ def _noise_covariance(matrix: np.ndarray, draws: int, scale: float, seed: int):
     # substreams per realization, so results never depend on batching.
     # One generator is rekeyed per draw by resetting it to a fresh state
     # (counter 0, empty buffer) with key (seed, k); constructing a Philox
-    # per draw costs more than the draw.
+    # per draw costs more than the draw.  The state holds Python ints,
+    # which the setter reads faster than numpy arrays.
     bits = np.random.Philox(0)
     rng = np.random.Generator(bits)
     state = bits.state
-    key = state["state"]["key"]
-    key[0] = seed
+    key = [seed, 0]
+    state["state"] = {"counter": [0, 0, 0, 0], "key": key}
+    state["buffer"] = [0, 0, 0, 0]
     noise = np.empty((min(draws, _NOISE_BATCH), length), dtype=np.complex128)
     filtered = np.empty_like(noise)
     product = np.empty((length, length), dtype=np.complex128)
@@ -183,9 +204,10 @@ def _truncation(spectrum: Spectrum, terms: int, length: int):
     ``terms`` leading eigenpairs, and the eigenvalue tail mass
     sum_{m >= N} |lambda_m| it leaves out.
 
-    With all terms A_N is ``spectrum.matrix`` and no eigenpair is read;
-    below that the eigen-sum is freed once its rows are taken.  ``length``
-    is the window length the rows are checked against.
+    With all terms A_N is ``spectrum.matrix``, whose rows ``_rows`` takes,
+    and no eigenpair is read; below that the eigen-sum is freed once its
+    rows are taken.  ``length`` is the window length the rows are checked
+    against.
     A cut between two |lambda| closer than DEGENERACY_GAP * |lambda_0| makes
     A_N depend on roundoff, so it raises unless the rest is negligible.
     """
@@ -194,7 +216,7 @@ def _truncation(spectrum: Spectrum, terms: int, length: int):
             f"terms must be in 1..{spectrum.size}, got {terms}"
         )
     if terms == spectrum.size:
-        return _hermitian_rows(spectrum.matrix, length), 0.0
+        return _rows(spectrum, length), 0.0
     mag = np.abs(spectrum.eigenvalues)
     gap = mag[terms - 1] - mag[terms]
     scale = DEGENERACY_GAP * mag[0]
@@ -275,7 +297,8 @@ def gp_recover(op: LocOperator, phi, region=None) -> RecoveryResult:
     iterables go through ``list``.
     """
     phi = _unit_window(phi, op.size)
-    symbol = hermitian_symbol(op.matrix, phi)
+    symbol = _symbol_of_half(_rows(op, op.size),
+                             np.fft.fft(_lag_table(phi), axis=1))
     if region is None:
         return RecoveryResult(symbol, "gp", {"region_points": None})
     points = region if isinstance(region, np.ndarray) else list(region)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import locsym.operator
 from locsym import (LocOperator, NotSelfAdjointError, Spectrum,
                     ValidationError, WindowSystem, apply, build_locop, dgt,
                     dgt_adjoint, eigendecompose, hermite_system, load_locop,
@@ -230,6 +231,30 @@ class TestLazySpectrum:
         assert spec.eigenvalues is lam and spec.eigenvectors is vec
         np.testing.assert_array_equal(spec.matrix, (vec.T * lam) @ vec.conj())
         assert len(eigh_calls) == 1
+
+    @pytest.mark.parametrize("read", ["matrix", "eigenvalues"])
+    def test_built_operator_defers_its_hermitian_part(self, gauss64,
+                                                      eigh_calls, read,
+                                                      monkeypatch):
+        parts = []
+
+        def counting(op):
+            parts.append(op)
+            return hermitian_part(op)
+
+        monkeypatch.setattr(locsym.operator, "hermitian_part", counting)
+        op = self.op(gauss64)
+        spec = eigendecompose(op)
+        assert spec.size == 64 and spec.rows is op.rows
+        assert parts == [] and eigh_calls == []
+        getattr(spec, read)
+        assert parts == [op]
+        assert len(eigh_calls) == (read == "eigenvalues")
+        for array in (op.rows, op.matrix):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            op.matrix = np.eye(64)
 
     def test_non_hermitian_raises_before_eigh(self, gauss64, eigh_calls):
         matrix = np.eye(64, dtype=complex)

@@ -275,6 +275,42 @@ class TestSpectrumOnDemand:
         wawd_recover(eigendecompose(op), L)
         assert eigh_calls == []
 
+    @pytest.mark.parametrize("L", [64, 65, 255, 256, 512])
+    def test_built_rows_give_the_bits_of_the_matrix(self, L):
+        # a built operator's full-rank estimators read its half-lattice
+        # rows; the operator made from its matrix gathers them from A
+        rng = np.random.default_rng(L)
+        g = make_gaussian_window(L)
+        f = rng.standard_normal((L, L))
+        delta = np.zeros((L, L))
+        delta[0, 0] = 1.0
+        pairs = []
+        for ws in (WindowSystem.single(g), WindowSystem.from_pairs(
+                [(0.5, g), (0.5, hermite_system(L, 2)[1])])):
+            op = build_locop(f, ws)
+            dense = LocOperator(op.matrix)
+            assert op.rows is not None and dense.rows is None
+            built, plain = eigendecompose(op), eigendecompose(dense)
+            pairs += [
+                (gp_recover(op, g).estimate, gp_recover(dense, g).estimate),
+                (was_recover(built, ws, L).estimate,
+                 was_recover(plain, ws, L).estimate),
+                (wawd_recover(built, L).estimate,
+                 wawd_recover(plain, L).estimate),
+                (wn_limit(built, g), wn_limit(plain, g)),
+            ]
+            impulse = LocOperator(build_locop(delta, ws).matrix)
+            pairs += [(impulse_kernel(ws, g, "measured", estimator),
+                       recover(estimator, impulse, g).estimate)
+                      for estimator in ("gp", "was")]
+        op = build_locop(f + 0.5j * rng.standard_normal((L, L)),
+                         WindowSystem.single(g))
+        assert op.rows is None
+        pairs.append((gp_recover(op, g).estimate,
+                      gp_recover(LocOperator(op.matrix), g).estimate))
+        for got, want in pairs:
+            assert got.tobytes() == want.tobytes()
+
     def test_truncation_and_wn_limit_keep_eager_bits(self):
         L = 48
         g, ws, _, op = gauss_setup(L, seed=36)
