@@ -99,9 +99,10 @@ class Spectrum:
     the operator the spectrum describes: the Hermitian matrix it was built
     from, the Hermitian part of the built operator ``eigendecompose`` was
     given, formed on first read, or else the eigen-sum of its pairs, formed
-    on first read.  Neither ``size`` nor ``matrix`` of such a spectrum runs
-    ``eigh``.  ``rows`` are the built operator's half-lattice rows, which
-    are those of ``matrix``, and None for any other spectrum.
+    on first read.  Neither ``size`` nor ``matrix`` of a spectrum built
+    from a matrix or an operator runs ``eigh``.  ``rows`` are the built
+    operator's half-lattice rows, which are those of ``matrix``, and None
+    for any other spectrum.
     ``matrix`` and the eigenpairs are ``functools.cached_property`` values:
     on Python 3.10 and 3.11 a first read holds a lock, so concurrent first
     reads run ``eigh`` once; on 3.12 and later there is no lock and two
