@@ -28,9 +28,10 @@ clipped at zero in one place, ``_psd_symbol``.
 
 This module alone owns the (d, s) layout of the half lattice, in both
 directions: ``_hermitian_rows`` takes the diagonals of the Hermitian
-part (M + M*)/2 of a general matrix, ``_make_hermitian`` makes computed
-diagonals those of a Hermitian matrix, and ``_hermitian_matrix`` scatters
-them back into the dense Hermitian matrix.
+part (M + M*)/2 of a general matrix, ``_hermitian_gather`` takes them
+for an operator together with its asymmetry, ``_make_hermitian`` makes
+computed diagonals those of a Hermitian matrix, and ``_hermitian_matrix``
+scatters them back into the dense Hermitian matrix.
 """
 
 from __future__ import annotations
@@ -91,20 +92,53 @@ def _lag_table(windows: np.ndarray, weights=None, out=None) -> np.ndarray:
                        out=out)
 
 
-def _hermitian_rows(matrix: np.ndarray, length: int) -> np.ndarray:
+def _hermitian_rows(matrix: np.ndarray) -> np.ndarray:
     """Diagonals d = 0..L//2 of the Hermitian part (M + M*)/2 of an L x L M.
 
     Row d is (M[s, s - d] + conj(M[s - d, s])) / 2.
     """
-    if matrix.shape != (length, length):
-        raise ValidationError(f"matrix {matrix.shape} != window length {length}")
-    idx = _half_lattice(length)
-    s = np.arange(length)
+    idx = _half_lattice(matrix.shape[0])
+    s = np.arange(matrix.shape[0])
     rows = matrix[idx, s]
     np.conjugate(rows, out=rows)
     rows += matrix[s, idx]
     rows *= 0.5
     return rows
+
+
+def _hermitian_gather(matrix: np.ndarray):
+    """Rows of the Hermitian part of a square M, max |M - M*|, and whether
+    ``_hermitian_matrix`` of the rows gives back M bit for bit.
+
+    Row d, d = 0..L//2, pairs M[s, s - d] with conj(M[s - d, s]), so the
+    half lattice meets every entry and its mirror: the asymmetry is the
+    largest |difference| of a pair and the row is the pair's mean, each
+    word halved as a float, so a pair that agrees bit for bit is its own
+    mean.  Row 0, the main diagonal, is its own mirror and keeps the real
+    part.  M is read a block of diagonals at a time, so a memory-mapped M
+    costs the rows and one block.
+    """
+    length = matrix.shape[0]
+    idx = _half_lattice(length)
+    s = np.arange(length)
+    flat = matrix.reshape(-1)  # flat indices gather faster than [s, idx]
+    rows = np.empty(idx.shape, dtype=np.complex128)
+    diag = np.array(matrix.diagonal(), dtype=np.complex128)
+    rows[0] = diag.real
+    asym = 2.0 * float(np.max(np.abs(diag.imag)))
+    exact = rows[0].tobytes() == diag.tobytes()
+    step = max(1, 4096 // length)  # diagonals a block, about 4096 entries
+    for lo in range(1, idx.shape[0], step):
+        pair = rows[lo:lo + step]
+        pair[...] = flat[s * length + idx[lo:lo + step]]
+        mirror = np.conjugate(flat[idx[lo:lo + step] * length + s])
+        # a pair that agrees bit for bit is its own mean
+        if not np.array_equal(pair.view(np.int64), mirror.view(np.int64)):
+            exact = False
+            asym = max(asym, float(np.max(np.abs(pair - mirror))))
+            pair += mirror
+            pair.view(np.float64)[...] *= 0.5  # the complex *= 0.5 signs zeros
+    return rows, asym, exact
 
 
 def _make_hermitian(rows: np.ndarray) -> np.ndarray:
@@ -133,9 +167,10 @@ def _hermitian_matrix(rows: np.ndarray) -> np.ndarray:
     idx = _half_lattice(length)
     s = np.arange(length)
     out = np.empty((length, length), dtype=np.complex128)
-    out[idx, s] = rows
+    flat = out.reshape(-1)  # flat indices scatter faster than [idx, s]
+    flat[idx * length + s] = rows
     np.conjugate(out, out=out)
-    out[s, idx] = rows
+    flat[s * length + idx] = rows
     return out
 
 
@@ -184,7 +219,9 @@ def hermitian_symbol(matrix: np.ndarray, phi: np.ndarray) -> np.ndarray:
     This is the (real) lower symbol of the Hermitian part (M + M*)/2: the
     symbol kernel with phi's lag product as the lag table.
     """
-    return _symbol_of_half(_hermitian_rows(matrix, phi.size),
+    if matrix.shape != (phi.size, phi.size):
+        raise ValidationError(f"matrix {matrix.shape} != window length {phi.size}")
+    return _symbol_of_half(_hermitian_rows(matrix),
                            np.fft.fft(_lag_table(phi), axis=1))
 
 
@@ -197,7 +234,7 @@ def weyl_symbol(matrix: np.ndarray) -> np.ndarray:
     half-lag as the lag table.  O(L^2 log L).
     """
     length = matrix.shape[0]
-    return _symbol_of_half(_hermitian_rows(matrix, length),
+    return _symbol_of_half(_hermitian_rows(matrix),
                            _midpoint_lag_spectrum(length))
 
 

@@ -8,12 +8,17 @@ symbol gives a Hermitian A, so only the diagonals d = 0..L//2 are computed
 and the rest are their conjugate mirror; a complex symbol is assembled as
 A(Re f) + i A(Im f).
 
-A Hermitian A built from a real symbol is held as those diagonals, its
-half-lattice rows.  The full-rank estimators (gp, was and wawd with all L
-eigenpairs, the measured impulse kernels) symbolize the rows directly, so
-a run of only those never forms the L x L matrix.  ``eigh``, the
-truncated spectra, pt, wn, ``apply`` and ``save_locop`` need the dense
-matrix; it is formed from the rows on its first read and kept.
+Every operator is held as the diagonals d = 0..L//2 of its Hermitian part,
+its half-lattice rows, plus its asymmetry max |A - A*|.  ``build_locop``
+of a real symbol computes the rows; any other matrix, given or loaded,
+has them gathered in one pass over its half lattice.  The full-rank
+estimators (gp, was and wawd with all L eigenpairs, the measured impulse
+kernels) symbolize the rows, so a run of only those never forms an L x L
+matrix.  ``eigh``, behind the truncated spectra and wn_limit, reads the
+Hermitian matrix the rows give.  pt, wn, ``apply`` and ``save_locop``
+read the dense matrix: the one an operator was given, or, when the rows
+give it back bit for bit, one formed from the rows on first read and
+kept.
 """
 
 from __future__ import annotations
@@ -25,13 +30,13 @@ import struct
 
 import numpy as np
 
-from .core import WindowSystem, as_signal
+from .core import WindowSystem, as_signal, check_length
 from .errors import NotSelfAdjointError, ValidationError
-from .gabor import _hermitian_matrix, _lag_table, _make_hermitian
+from .gabor import (_hermitian_gather, _hermitian_matrix, _hermitian_rows,
+                    _lag_table, _make_hermitian)
 from .mapio import _open_new
 
 HERMITIAN_REJECT_TOL = 1e-6
-_ASYM_BLOCK = 4096  # entries per block of rows in the asymmetry check
 
 _DUMP_MAGIC = b"LOCOP1"
 _DUMP_HEADER = struct.Struct("<6s2xI4x")  # magic, 2 pad, u32 L, 4 pad
@@ -40,16 +45,19 @@ _DUMP_HEADER = struct.Struct("<6s2xI4x")  # magic, 2 pad, u32 L, 4 pad
 class LocOperator:
     """Dense localization operator with provenance.
 
-    ``matrix`` must be a square 2-d array with finite entries
-    (ValidationError otherwise).  ``symbol_hash`` records the symbol the
-    matrix was built from; it is informational and empty for operators
-    loaded from disk.
+    ``matrix`` must be a square 2-d array of size L in 4..MAX_LENGTH with
+    finite entries (ValidationError otherwise).  ``symbol_hash`` records
+    the symbol the matrix was built from; it is informational and empty
+    for operators loaded from disk.
 
-    ``rows`` holds the diagonals A[s, s - d], d = 0..L//2, of an operator
-    that ``build_locop`` made from a real symbol, and is None for any other.
-    Such an A is Hermitian bit for bit; its ``matrix`` is formed from the
-    rows on first read and kept.  Both arrays are read-only, and no
-    attribute can be reassigned, so the two always agree.
+    ``rows`` holds the diagonals d = 0..L//2 of the Hermitian part
+    (A + A*)/2, row d being its entries [s, s - d], and ``asymmetry`` is
+    max |A - A*|, 0 for an operator that ``build_locop`` made from a real
+    symbol.  A matrix that ``_hermitian_matrix(rows)`` gives back bit for
+    bit, as it does every built one, is formed from the rows on first read
+    and kept; any other is kept as a copy of the one given.  Both arrays
+    are read-only, and no attribute can be reassigned, so the two always
+    agree.
     """
 
     def __init__(self, matrix: np.ndarray, symbol_hash: str = ""):
@@ -57,19 +65,25 @@ class LocOperator:
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValidationError(
                 f"operator matrix must be square, got shape {matrix.shape}")
-        if not np.all(np.isfinite(matrix)):
-            raise ValidationError("operator has non-finite entries")
-        vars(self).update(matrix=matrix, symbol_hash=symbol_hash, rows=None)
+        check_length(matrix.shape[0], "operator size")
+        rows, asymmetry, exact = _hermitian_gather(matrix)
+        self._hold(rows, asymmetry, symbol_hash)
+        if not exact:
+            vars(self)["matrix"] = _read_only(np.array(matrix))
 
     @classmethod
     def _of_rows(cls, rows: np.ndarray, symbol_hash: str) -> "LocOperator":
         """The Hermitian operator of ``_make_hermitian`` rows, which it keeps."""
+        op = cls.__new__(cls)
+        op._hold(rows, 0.0, symbol_hash)
+        return op
+
+    def _hold(self, rows: np.ndarray, asymmetry: float, symbol_hash: str):
+        # a non-finite entry of A gives a non-finite row
         if not np.all(np.isfinite(rows)):
             raise ValidationError("operator has non-finite entries")
-        rows.flags.writeable = False
-        op = cls.__new__(cls)
-        vars(op).update(rows=rows, symbol_hash=symbol_hash)
-        return op
+        vars(self).update(rows=_read_only(rows), asymmetry=asymmetry,
+                          symbol_hash=symbol_hash)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to LocOperator.{name}")
@@ -79,65 +93,39 @@ class LocOperator:
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        matrix = _hermitian_matrix(self.rows)
-        matrix.flags.writeable = False
-        return matrix
+        return _read_only(_hermitian_matrix(self.rows))
 
     @property
     def size(self) -> int:
-        return (self.matrix if self.rows is None else self.rows).shape[1]
+        return self.rows.shape[1]
 
 
 class Spectrum:
     """Eigenvalues (descending |lambda|) and matching orthonormal eigenvectors.
 
     ``eigenvectors[i]`` is the eigenvector for ``eigenvalues[i]``.  Built
-    either from eigenpairs, ``Spectrum(eigenvalues, eigenvectors)``, or from
-    a Hermitian matrix by :meth:`of_hermitian`, which defers ``eigh``: the
-    first read of ``eigenvalues`` or ``eigenvectors`` runs it (a
-    ``LinAlgError`` surfaces there) and keeps the result.  ``matrix`` is
-    the operator the spectrum describes: the Hermitian matrix it was built
-    from, the Hermitian part of the built operator ``eigendecompose`` was
-    given, formed on first read, or else the eigen-sum of its pairs, formed
-    on first read.  Neither ``size`` nor ``matrix`` of a spectrum built
-    from a matrix or an operator runs ``eigh``.  ``rows`` are the built
-    operator's half-lattice rows, which are those of ``matrix``, and None
-    for any other spectrum.
-    ``matrix`` and the eigenpairs are ``functools.cached_property`` values:
-    on Python 3.10 and 3.11 a first read holds a lock, so concurrent first
-    reads run ``eigh`` once; on 3.12 and later there is no lock and two
-    threads may each run it.
+    either from eigenpairs, ``Spectrum(eigenvalues, eigenvectors)``, or by
+    :func:`eigendecompose` from an operator's half-lattice rows, which
+    defers ``eigh``: the first read of ``eigenvalues`` or ``eigenvectors``
+    runs it (a ``LinAlgError`` surfaces there) and keeps the result.
+    ``matrix`` is the Hermitian matrix the spectrum describes and ``rows``
+    its half-lattice rows, read-only.  A spectrum of an operator holds the
+    operator's rows and forms ``matrix`` from them on first read; one of
+    eigenpairs forms ``matrix`` as their eigen-sum and ``rows`` from it,
+    each on first read.  Neither ``size``, ``rows`` nor ``matrix`` of an
+    operator's spectrum runs ``eigh``.
+    ``matrix``, ``rows`` and the eigenpairs are ``functools.cached_property``
+    values: on Python 3.10 and 3.11 a first read holds a lock, so concurrent
+    first reads run ``eigh`` once; on 3.12 and later there is no lock and
+    two threads may each run it.
     """
-
-    _op = None  # the built operator whose Hermitian part this is
 
     def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray):
         self._pairs = (eigenvalues, eigenvectors)
 
-    @classmethod
-    def of_hermitian(cls, matrix: np.ndarray) -> "Spectrum":
-        """Spectrum of Hermitian ``matrix``, eigendecomposed on first read."""
-        spectrum = cls.__new__(cls)
-        spectrum.matrix = matrix
-        return spectrum
-
-    @classmethod
-    def _of_built(cls, op: LocOperator) -> "Spectrum":
-        """Spectrum of built ``op``'s Hermitian part, formed on first read."""
-        spectrum = cls.__new__(cls)
-        spectrum._op = op
-        return spectrum
-
     @property
     def size(self) -> int:
-        if self._op is not None:
-            return self._op.size
-        held = vars(self)
-        return (held["matrix"] if "matrix" in held else self._pairs[0]).shape[0]
-
-    @property
-    def rows(self):
-        return None if self._op is None else self._op.rows
+        return self.rows.shape[1] if "rows" in vars(self) else self._pairs[0].size
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -149,15 +137,23 @@ class Spectrum:
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        if self._op is not None:
-            return hermitian_part(self._op)
-        return _eigen_sum(*self._pairs)
+        return (_eigen_sum(*self._pairs) if "_pairs" in vars(self)
+                else _hermitian_matrix(self.rows))
+
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        return _read_only(_hermitian_rows(self.matrix))
 
     @functools.cached_property
     def _pairs(self):
         lam, vec = np.linalg.eigh(self.matrix)
         order = np.lexsort((-lam, -np.abs(lam)))
         return lam[order], vec.T[order]
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def _eigen_sum(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -231,47 +227,35 @@ def apply(op: LocOperator, psi) -> np.ndarray:
 
 
 def hermitian_part(op: LocOperator) -> np.ndarray:
-    """(h + h*) / 2 of an operator that is Hermitian up to roundoff.
+    """(A + A*) / 2 of an operator that is Hermitian up to roundoff.
 
-    Raises NotSelfAdjointError when the asymmetry max |h - h*| exceeds
-    HERMITIAN_REJECT_TOL.  h* is formed once, in the result's buffer, and
-    the asymmetry is taken against it a block of rows at a time, so the
-    result is the only L x L array made.  An operator that holds ``rows``
-    is Hermitian bit for bit and read-only, so its asymmetry is not taken.
+    Raises NotSelfAdjointError when its asymmetry max |A - A*| exceeds
+    HERMITIAN_REJECT_TOL; otherwise scatters its half-lattice rows.
     """
-    h = op.matrix
-    herm = np.conjugate(h.T, out=np.empty_like(h))
-    if op.rows is None:
-        rows = max(1, _ASYM_BLOCK // max(h.shape[0], 1))
-        asym = max((float(np.max(np.abs(h[i:i + rows] - herm[i:i + rows])))
-                    for i in range(0, h.shape[0], rows)), default=0.0)
-        if asym > HERMITIAN_REJECT_TOL:
-            raise NotSelfAdjointError(
-                f"operator asymmetry {asym:.3e} exceeds {HERMITIAN_REJECT_TOL}; "
-                "complex symbol or invalid window system?"
-            )
-    herm += h  # h* + h has the bits of h + h*
-    herm /= 2  # not *= 0.5: complex division signs its zeros differently
-    return herm
+    return eigendecompose(op).matrix
 
 
 def eigendecompose(op: LocOperator) -> Spectrum:
     """Full spectrum of a Hermitian localization operator.
 
-    Checks the asymmetry now (NotSelfAdjointError) and returns the lazy
-    spectrum of the Hermitian part: ``eigh`` runs on the first read of an
-    eigenpair, so a ``LinAlgError`` surfaces there, not here.  An operator
-    that holds ``rows`` has no asymmetry to check, and its Hermitian part
-    is formed only when an eigenpair or ``Spectrum.matrix`` is read.
+    Checks the operator's asymmetry now (NotSelfAdjointError) and returns
+    the lazy spectrum of its Hermitian part, which holds the operator's
+    half-lattice rows: the Hermitian matrix is formed, and ``eigh`` run on
+    it, on the first read of an eigenpair, so a ``LinAlgError`` surfaces
+    there, not here.
     Eigenpairs are ordered by descending |lambda| and then descending
     signed lambda with one stable sort, so exact ties keep ``eigh``'s
     order.
     Eigenvectors are orthonormal; their phases, and the basis chosen inside
     a degenerate cluster, are whatever LAPACK returns.
     """
-    if op.rows is not None:
-        return Spectrum._of_built(op)
-    return Spectrum.of_hermitian(hermitian_part(op))
+    if op.asymmetry > HERMITIAN_REJECT_TOL:
+        raise NotSelfAdjointError(
+            f"operator asymmetry {op.asymmetry:.3e} exceeds {HERMITIAN_REJECT_TOL}"
+            "; complex symbol or invalid window system?")
+    spectrum = Spectrum.__new__(Spectrum)  # holds the rows, no eigenpairs yet
+    spectrum.rows = op.rows
+    return spectrum
 
 
 def save_locop(op: LocOperator, path):
@@ -283,17 +267,24 @@ def save_locop(op: LocOperator, path):
 
 
 def load_locop(path) -> LocOperator:
-    """Read a matrix dumped by :func:`save_locop`; ``LocOperator`` checks it."""
-    with open(path, "rb") as fh:
-        header = fh.read(_DUMP_HEADER.size)
-        if len(header) != _DUMP_HEADER.size or header[:6] != _DUMP_MAGIC:
-            raise ValidationError(f"{path}: not a LOCOP1 dump")
-        _, length = _DUMP_HEADER.unpack(header)
-        if os.fstat(fh.fileno()).st_size != _DUMP_HEADER.size + 16 * length * length:
-            raise ValidationError(f"{path}: file size does not match L = {length}")
-        data = np.fromfile(fh, dtype="<c16", count=length * length)
-    matrix = data.reshape(length, length).astype(np.complex128, copy=False)
+    """Read a matrix dumped by :func:`save_locop`; ``LocOperator`` checks it.
+
+    The header's L is checked before anything of size L is read.  The
+    matrix is memory-mapped read-only while its rows are gathered, so a
+    dump that the rows give back bit for bit, as every dump of a built
+    operator is, puts only the rows on the heap.
+    """
     try:
-        return LocOperator(matrix)
+        with open(path, "rb") as fh:
+            header = fh.read(_DUMP_HEADER.size)
+            if len(header) != _DUMP_HEADER.size or header[:6] != _DUMP_MAGIC:
+                raise ValidationError("not a LOCOP1 dump")
+            _, length = _DUMP_HEADER.unpack(header)
+            check_length(length, "operator size")
+            if os.fstat(fh.fileno()).st_size != _DUMP_HEADER.size + 16 * length ** 2:
+                raise ValidationError(f"file size does not match L = {length}")
+            data = np.memmap(fh, dtype="<c16", mode="r",
+                             offset=_DUMP_HEADER.size, shape=(length, length))
+        return LocOperator(data.astype(np.complex128, copy=False))
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc

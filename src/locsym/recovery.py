@@ -6,11 +6,10 @@ Weyl-type symbol of one matrix M; A_N keeps A's N leading eigenpairs.
 public estimators.  was and wawd read eigenpairs of the lazy
 ``eigendecompose`` spectrum only to truncate: with all L terms A_N is the
 Hermitian part of A, so was(L) is the lower symbol of A and wawd(L) its
-Weyl symbol, and neither runs ``eigh``.  Of an operator that
-``build_locop`` made from a real symbol they, gp and the measured impulse
-kernels symbolize a copy of its half-lattice rows, so none of them forms
-the dense matrix; of any other they gather the rows from the Hermitian
-part (``Spectrum.matrix``) or from A.
+Weyl symbol, and neither runs ``eigh``.  Every operator and its spectrum
+hold the half-lattice rows of that Hermitian part, so was(L), wawd(L),
+gp and the measured impulse kernels symbolize a copy of them and form
+no dense matrix.
 
 Methods
 -------
@@ -82,21 +81,6 @@ def _unit_window(phi, length: int) -> np.ndarray:
     return phi
 
 
-def _rows(source, length: int) -> np.ndarray:
-    """Writable diagonals d = 0..L//2 of the Hermitian part of ``source``.
-
-    ``source`` is an operator or a spectrum: a copy of the rows it holds,
-    else ``_hermitian_rows`` of its matrix.  ``length`` is the window
-    length they are checked against.
-    """
-    if source.rows is None:
-        return _hermitian_rows(source.matrix, length)
-    if source.size != length:
-        raise ValidationError(
-            f"matrix {(source.size,) * 2} != window length {length}")
-    return source.rows.copy()
-
-
 def wn_limit(spectrum: Spectrum, phi) -> np.ndarray:
     """Large-sample limit of the white-noise estimator.
 
@@ -109,8 +93,7 @@ def wn_limit(spectrum: Spectrum, phi) -> np.ndarray:
     """
     phi = _unit_window(phi, spectrum.size)
     lam = spectrum.eigenvalues
-    rows = _hermitian_rows(_eigen_sum(lam * lam, spectrum.eigenvectors),
-                           phi.size)
+    rows = _hermitian_rows(_eigen_sum(lam * lam, spectrum.eigenvectors))
     return _psd_symbol(rows, phi)[0]
 
 
@@ -137,7 +120,7 @@ def wn_recover(op: LocOperator, phi, draws: int, noise_var: float,
     covariance, energy = _noise_covariance(op.matrix, draws,
                                            math.sqrt(noise_var / 2.0), seed)
     covariance /= draws
-    avg, clip = _psd_symbol(_hermitian_rows(covariance, length), phi)
+    avg, clip = _psd_symbol(_hermitian_rows(covariance), phi)
     noise_var_hat = energy / (draws * length)
     meta = {
         "draws": draws,
@@ -199,15 +182,14 @@ def _noise_covariance(matrix: np.ndarray, draws: int, scale: float, seed: int):
     return covariance, energy
 
 
-def _truncation(spectrum: Spectrum, terms: int, length: int):
+def _truncation(spectrum: Spectrum, terms: int):
     """The ``_hermitian_rows`` of A_N, the operator rebuilt from its
     ``terms`` leading eigenpairs, and the eigenvalue tail mass
     sum_{m >= N} |lambda_m| it leaves out.
 
-    With all terms A_N is ``spectrum.matrix``, whose rows ``_rows`` takes,
-    and no eigenpair is read; below that the eigen-sum is freed once its
-    rows are taken.  ``length`` is the window length the rows are checked
-    against.
+    With all terms A_N is ``spectrum.matrix``, whose rows are copied, and
+    no eigenpair is read; below that the eigen-sum is freed once its
+    rows are taken.
     A cut between two |lambda| closer than DEGENERACY_GAP * |lambda_0| makes
     A_N depend on roundoff, so it raises unless the rest is negligible.
     """
@@ -216,7 +198,7 @@ def _truncation(spectrum: Spectrum, terms: int, length: int):
             f"terms must be in 1..{spectrum.size}, got {terms}"
         )
     if terms == spectrum.size:
-        return _rows(spectrum, length), 0.0
+        return spectrum.rows.copy(), 0.0
     mag = np.abs(spectrum.eigenvalues)
     gap = mag[terms - 1] - mag[terms]
     scale = DEGENERACY_GAP * mag[0]
@@ -227,7 +209,7 @@ def _truncation(spectrum: Spectrum, terms: int, length: int):
         )
     truncated = _eigen_sum(spectrum.eigenvalues[:terms],
                            spectrum.eigenvectors[:terms])
-    return _hermitian_rows(truncated, length), float(np.sum(mag[terms:]))
+    return _hermitian_rows(truncated), float(np.sum(mag[terms:]))
 
 
 def was_recover(spectrum: Spectrum, system: WindowSystem,
@@ -238,7 +220,10 @@ def was_recover(spectrum: Spectrum, system: WindowSystem,
     eigenpairs.  With all terms and a rank-one system this is the Gabor
     projection estimator, computed through spectral data instead.
     """
-    rows, tail = _truncation(spectrum, terms, system.length)
+    if system.length != spectrum.size:
+        raise ValidationError(f"window length {system.length} != "
+                              f"operator size {spectrum.size}")
+    rows, tail = _truncation(spectrum, terms)
     lag_hat = np.fft.fft(_lag_table(system.windows, system.weights), axis=1)
     out = _symbol_of_half(rows, lag_hat)
     return RecoveryResult(out, "was", {"terms": terms, "eig_tail_mass": tail})
@@ -252,7 +237,7 @@ def wawd_recover(spectrum: Spectrum, terms: int) -> RecoveryResult:
     aliasing leaks into the estimate, which the meta flag records.
     """
     length = spectrum.size
-    rows, tail = _truncation(spectrum, terms, length)
+    rows, tail = _truncation(spectrum, terms)
     meta = {
         "terms": terms,
         "eig_tail_mass": tail,
@@ -283,7 +268,7 @@ def pt_recover(op: LocOperator, basis, phi) -> RecoveryResult:
         if len(family) < op.size:
             images = images @ family.T
     out, clip = _psd_symbol(
-        _hermitian_rows(images @ images.conj().T, op.size), phi)
+        _hermitian_rows(images @ images.conj().T), phi)
     return RecoveryResult(out, "pt", {"basis_size": images.shape[1],
                                       "psd_clip": clip})
 
@@ -297,7 +282,7 @@ def gp_recover(op: LocOperator, phi, region=None) -> RecoveryResult:
     iterables go through ``list``.
     """
     phi = _unit_window(phi, op.size)
-    symbol = _symbol_of_half(_rows(op, op.size),
+    symbol = _symbol_of_half(op.rows.copy(),
                              np.fft.fft(_lag_table(phi), axis=1))
     if region is None:
         return RecoveryResult(symbol, "gp", {"region_points": None})

@@ -85,14 +85,29 @@ def test_recover_region_and_basis_variants(tmp_path, circle):
                "--basis", "hermite:6@16,16", "--out", tmp_path / "p") == 0
 
 
-def test_operator_dump_round_trip(tmp_path, circle):
-    assert run("recover", "--method", "gp", "--symbol", circle, "--size", 32,
-               "--dump-operator", tmp_path / "op.bin",
-               "--out", tmp_path / "d") == 0
-    assert run("recover", "--method", "gp", "--symbol", circle, "--size", 32,
-               "--operator", tmp_path / "op.bin",
-               "--out", tmp_path / "e") == 0
-    assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "e.csv").read_bytes()
+def test_operator_dump_round_trip(tmp_path):
+    # every method, on an operator built and on its dump reused, writes
+    # the same CSV bytes, at both parities of L and over two windows
+    from locsym.recovery import METHODS
+
+    variants = [(method,) for method in METHODS] + [("was", "--eigs", 4)]
+    for size in (32, 33):
+        symbol = tmp_path / f"circle{size}.csv"
+        assert run("gen-symbol", "--kind", "circle", "--size", size,
+                   "--out", tmp_path / f"circle{size}.pgm", "--csv", symbol) == 0
+        dump = tmp_path / f"op{size}.bin"
+        common = ("--symbol", symbol, "--size", size,
+                  "--window", "gauss,hermite:1", "--K", 8)
+        assert run("recover", "--method", "gp", *common, "--dump-operator",
+                   dump, "--out", tmp_path / "dumped") == 0
+        for method, *extra in variants:
+            built, reused = tmp_path / "built", tmp_path / "reused"
+            assert run("recover", "--method", method, *extra, *common,
+                       "--out", built) == 0
+            assert run("recover", "--method", method, *extra, *common,
+                       "--operator", dump, "--out", reused) == 0
+            assert ((tmp_path / "built.csv").read_bytes()
+                    == (tmp_path / "reused.csv").read_bytes()), (size, method)
 
 
 def test_impulse_then_deconvolve(tmp_path, circle):
@@ -799,6 +814,9 @@ MALFORMED_RECOVER_OPTIONS = {
     "basis-unknown": ("--method", "pt", "--basis", "wavelet"),
     "region-malformed": ("--method", "gp", "--region", "1,2,3"),
     "operator-size": ("--method", "gp", "--operator", "op16.bin"),
+    "operator-length-0": ("--method", "gp", "--operator", "op0.bin"),
+    "operator-length-3": ("--method", "gp", "--operator", "op3.bin"),
+    "operator-length-max": ("--method", "gp", "--operator", "op4097.bin"),
 }
 
 
@@ -810,6 +828,9 @@ def test_malformed_recover_option_exits_2(tmp_path, circle, capsys,
 
     monkeypatch.chdir(tmp_path)
     save_locop(LocOperator(np.eye(16, dtype=complex)), "op16.bin")
+    for length in (0, 3, 4097):  # header only, L outside 4..MAX_LENGTH
+        with open(f"op{length}.bin", "wb") as fh:
+            fh.write(b"LOCOP1\0\0" + length.to_bytes(4, "little") + bytes(4))
     assert run("recover", "--symbol", circle, "--size", 32, *options,
                "--out", "x") == 2
     assert capsys.readouterr().err.startswith("error: ")

@@ -32,8 +32,13 @@ UNIT = L * L * 16  # bytes of one dense complex L x L matrix
 # lag tables, peak at 1.51 and 1.77; through the Gabor transform, one
 # spectrogram per window, they peaked at 2.00 and 2.50.  A built operator
 # holds its half-lattice rows, so its eigendecompose allocates nothing
-# (0.00) until the Hermitian part is read; eigendecompose of a loaded dump
-# still forms it and takes the asymmetry, at 1.13.  build_locop stays at
+# (0.00) until the Hermitian part is read.  Every operator now holds them:
+# load_locop gathers the rows and the asymmetry from a read-only memory
+# map of the dump, a block of diagonals at a time, and peaks at 0.71 (it
+# read the whole dump onto the heap at 1.07); tracemalloc does not see the
+# map's file-backed pages.  eigendecompose of the loaded dump then only
+# checks the stored asymmetry, at 0.00 (it formed the Hermitian part and
+# took the asymmetry at 1.13).  build_locop stays at
 # 1.77 without the scatter into A: its peak is in the assembly loop, where
 # the transformed symbol, the diagonals, the work buffer and numpy's
 # quarter-unit buffer for the lag product's broadcast multiply coexist.
@@ -48,9 +53,9 @@ PEAK_BOUNDS = {
     "wn_limit": 2.39,
     "save_csv": 1.12,
     "save_pgm": 1.06,
-    "load_locop": 1.32,
+    "load_locop": 0.96,
     "eigendecompose": 0.25,
-    "eigendecompose_loaded": 1.37,
+    "eigendecompose_loaded": 0.25,
     "spectrogram": 1.76,
     "cohen_class": 2.02,
 }

@@ -1,14 +1,20 @@
 """Localization operator assembly, application and spectral decomposition."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import locsym.operator
-from locsym import (LocOperator, NotSelfAdjointError, Spectrum,
+from locsym import (LocOperator, NotSelfAdjointError, Spectrum, SymbolSpec,
                     ValidationError, WindowSystem, apply, build_locop, dgt,
-                    dgt_adjoint, eigendecompose, hermite_system, load_locop,
-                    make_gaussian_window, save_locop, tf_shift)
-from locsym.operator import hermitian_part
+                    dgt_adjoint, eigendecompose, gen_symbol, hermite_system,
+                    load_locop, make_gaussian_window, save_locop, tf_shift)
+from locsym.core import MAX_LENGTH
+from locsym.gabor import _hermitian_matrix
+from locsym.operator import HERMITIAN_REJECT_TOL, hermitian_part
 
 
 @pytest.fixture
@@ -223,6 +229,21 @@ class TestLazySpectrum:
         np.testing.assert_array_equal(spec.eigenvalues, lam[order])
         np.testing.assert_array_equal(spec.eigenvectors, vec.T[order])
 
+    @pytest.mark.parametrize("L", [65, 255])
+    def test_zero_holding_operator_keeps_the_dense_eigh_bytes(self, L):
+        # the tiles operator holds exact zeros whose signs differ between
+        # the scattered rows and the dense (A + A*) / 2; eigh reads neither
+        f = gen_symbol(SymbolSpec("tiles", L, {}, (0.0, 1.0)))
+        op = build_locop(f, WindowSystem.single(make_gaussian_window(L)))
+        dense = (op.matrix + op.matrix.conj().T) / 2
+        assert np.any(np.signbit(dense.view(float))
+                      != np.signbit(eigendecompose(op).matrix.view(float)))
+        lam, vec = np.linalg.eigh(dense)
+        order = np.lexsort((-lam, -np.abs(lam)))
+        spec = eigendecompose(op)
+        assert spec.eigenvalues.tobytes() == lam[order].tobytes()
+        assert spec.eigenvectors.tobytes() == vec.T[order].tobytes()
+
     def test_built_from_eigenpairs(self, gauss64, eigh_calls):
         full = eigendecompose(self.op(gauss64, seed=22))
         lam, vec = -full.eigenvalues, full.eigenvectors
@@ -235,26 +256,35 @@ class TestLazySpectrum:
     @pytest.mark.parametrize("read", ["matrix", "eigenvalues"])
     def test_built_operator_defers_its_hermitian_part(self, gauss64,
                                                       eigh_calls, read,
-                                                      monkeypatch):
-        parts = []
+                                                      monkeypatch, tmp_path):
+        # a built operator and its loaded dump hold the same rows; neither
+        # spectrum scatters them into a matrix or runs eigh before a read
+        scattered = []
+        hermitian_matrix = locsym.operator._hermitian_matrix
 
-        def counting(op):
-            parts.append(op)
-            return hermitian_part(op)
+        def counting(rows):
+            scattered.append(rows.shape)
+            return hermitian_matrix(rows)
 
-        monkeypatch.setattr(locsym.operator, "hermitian_part", counting)
-        op = self.op(gauss64)
-        spec = eigendecompose(op)
-        assert spec.size == 64 and spec.rows is op.rows
-        assert parts == [] and eigh_calls == []
-        getattr(spec, read)
-        assert parts == [op]
-        assert len(eigh_calls) == (read == "eigenvalues")
-        for array in (op.rows, op.matrix):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0, 0] = 1.0
-        with pytest.raises(AttributeError):
-            op.matrix = np.eye(64)
+        built = self.op(gauss64)
+        save_locop(built, tmp_path / "op.bin")
+        monkeypatch.setattr(locsym.operator, "_hermitian_matrix", counting)
+        for op in (built, load_locop(tmp_path / "op.bin")):
+            scattered.clear()
+            eigh_calls.clear()
+            spec = eigendecompose(op)
+            assert spec.size == 64 and op.asymmetry == 0.0
+            assert spec.rows.tobytes() == built.rows.tobytes()
+            assert scattered == [] and eigh_calls == []
+            getattr(spec, read)
+            assert scattered == [(33, 64)]
+            assert len(eigh_calls) == (read == "eigenvalues")
+            assert spec.matrix.tobytes() == built.matrix.tobytes()
+            for array in (op.rows, op.matrix, spec.rows):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0, 0] = 1.0
+            with pytest.raises(AttributeError):
+                op.matrix = np.eye(64)
 
     def test_non_hermitian_raises_before_eigh(self, gauss64, eigh_calls):
         matrix = np.eye(64, dtype=complex)
@@ -299,6 +329,13 @@ class TestDump:
         path.write_bytes(b"not an operator dump")
         with pytest.raises(ValidationError):
             load_locop(path)
+        # header-only dumps: L is checked before the size check or any read
+        for length in (0, 3, MAX_LENGTH + 1):
+            path.write_bytes(b"LOCOP1\0\0" + length.to_bytes(4, "little")
+                             + bytes(4))
+            with pytest.raises(ValidationError,
+                               match=re.escape(f"{path}: operator size")):
+                load_locop(path)
 
     def test_rejects_size_disagreeing_with_header(self, gauss64, tmp_path):
         _, ws = gauss64
@@ -320,3 +357,40 @@ class TestDump:
         path.write_bytes(bytes(blob))
         with pytest.raises(ValidationError):
             load_locop(path)
+
+
+class TestHalfLatticeRows:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(4, 70), st.one_of(st.just(0.0), st.floats(1e-8, 1e-5)),
+           st.floats(0.0, 0.6), st.integers(0, 2 ** 32 - 1))
+    def test_rows_and_asymmetry_of_any_matrix(self, L, skew, zeros, seed):
+        # a Hermitian matrix bit for bit, plus a skew near the rejection
+        # tolerance, with exact zeros of either sign on a symmetric mask
+        rng = np.random.default_rng(seed)
+        below = np.tril_indices(L, -1)
+        vals = random_signal(rng, below[0].size)
+        mask = rng.random(vals.size) < zeros
+        vals[mask] = 0.0
+        for part in (vals.real, vals.imag):
+            part[mask] = np.copysign(0.0, rng.standard_normal(mask.sum()))
+        h = np.zeros((L, L), dtype=complex)
+        h[np.diag_indices(L)] = rng.standard_normal(L)
+        h[below] = vals
+        h.T[below] = vals.conj()
+        m = h + skew * (rng.standard_normal((L, L))
+                        + 1j * rng.standard_normal((L, L)))
+        m[below] = np.where(mask, h[below], m[below])
+        m.T[below] = np.where(mask, h.T[below], m.T[below])
+
+        op = LocOperator(m)
+        np.testing.assert_array_equal(_hermitian_matrix(op.rows),
+                                      (m + m.conj().T) / 2)
+        asymmetry = float(np.max(np.abs(m - m.conj().T)))
+        assert op.asymmetry == asymmetry
+        assert op.matrix.tobytes() == m.tobytes()
+        if asymmetry > HERMITIAN_REJECT_TOL:
+            with pytest.raises(NotSelfAdjointError):
+                eigendecompose(op)
+        else:
+            np.testing.assert_array_equal(hermitian_part(op),
+                                          (m + m.conj().T) / 2)

@@ -202,8 +202,12 @@ class TestRecoverDispatch:
         lambda op, ws, phi: gp_recover(op, phi),
         lambda op, ws, phi: impulse_kernel(ws, phi),
         lambda op, ws, phi: impulse_kernel(ws, phi, mode="measured"),
+        lambda op, ws, phi: was_recover(eigendecompose(op),
+                                        WindowSystem.single(phi), 32),
+        lambda op, ws, phi: was_recover(eigendecompose(op),
+                                        WindowSystem.single(phi), 4),
     ], ids=["wn_limit", "wn", "pt", "pt-hermite", "gp", "impulse-analytic",
-            "impulse-measured"])
+            "impulse-measured", "was", "was-truncated"])
     def test_a_window_of_another_length_is_rejected_first(self, entry,
                                                          eigh_calls):
         _, ws, _, op = gauss_setup(32, seed=3)
@@ -289,7 +293,8 @@ class TestSpectrumOnDemand:
                 [(0.5, g), (0.5, hermite_system(L, 2)[1])])):
             op = build_locop(f, ws)
             dense = LocOperator(op.matrix)
-            assert op.rows is not None and dense.rows is None
+            assert dense.rows.tobytes() == op.rows.tobytes()
+            assert dense.matrix.tobytes() == op.matrix.tobytes()
             built, plain = eigendecompose(op), eigendecompose(dense)
             pairs += [
                 (gp_recover(op, g).estimate, gp_recover(dense, g).estimate),
@@ -305,7 +310,8 @@ class TestSpectrumOnDemand:
                       for estimator in ("gp", "was")]
         op = build_locop(f + 0.5j * rng.standard_normal((L, L)),
                          WindowSystem.single(g))
-        assert op.rows is None
+        assert op.asymmetry > 1e-6
+        assert LocOperator(op.matrix).matrix.tobytes() == op.matrix.tobytes()
         pairs.append((gp_recover(op, g).estimate,
                       gp_recover(LocOperator(op.matrix), g).estimate))
         for got, want in pairs:
