@@ -27,11 +27,11 @@ ever formed as an L x L matrix.  The lower symbol of a PSD matrix is
 clipped at zero in one place, ``_psd_symbol``.
 
 This module alone owns the (d, s) layout of the half lattice, in both
-directions: ``_hermitian_rows`` takes the diagonals of the Hermitian
-part (M + M*)/2 of a general matrix, ``_hermitian_gather`` takes them
-for an operator together with its asymmetry, ``_make_hermitian`` makes
-computed diagonals those of a Hermitian matrix, and ``_hermitian_matrix``
-scatters them back into the dense Hermitian matrix.
+directions: ``_hermitian_gather`` takes the diagonals of the Hermitian
+part (M + M*)/2 of any square matrix together with its asymmetry,
+``_make_hermitian`` makes computed diagonals those of a Hermitian
+matrix, and ``_hermitian_matrix`` scatters them back into the dense
+Hermitian matrix.
 """
 
 from __future__ import annotations
@@ -92,20 +92,6 @@ def _lag_table(windows: np.ndarray, weights=None, out=None) -> np.ndarray:
                        out=out)
 
 
-def _hermitian_rows(matrix: np.ndarray) -> np.ndarray:
-    """Diagonals d = 0..L//2 of the Hermitian part (M + M*)/2 of an L x L M.
-
-    Row d is (M[s, s - d] + conj(M[s - d, s])) / 2.
-    """
-    idx = _half_lattice(matrix.shape[0])
-    s = np.arange(matrix.shape[0])
-    rows = matrix[idx, s]
-    np.conjugate(rows, out=rows)
-    rows += matrix[s, idx]
-    rows *= 0.5
-    return rows
-
-
 def _hermitian_gather(matrix: np.ndarray):
     """Rows of the Hermitian part of a square M, max |M - M*|, and whether
     ``_hermitian_matrix`` of the rows gives back M bit for bit.
@@ -116,7 +102,8 @@ def _hermitian_gather(matrix: np.ndarray):
     word halved as a float, so a pair that agrees bit for bit is its own
     mean.  Row 0, the main diagonal, is its own mirror and keeps the real
     part.  M is read a block of diagonals at a time, so a memory-mapped M
-    costs the rows and one block.
+    costs the rows and one block.  M may hold any real or complex dtype;
+    the rows are complex128.
     """
     length = matrix.shape[0]
     idx = _half_lattice(length)
@@ -131,7 +118,8 @@ def _hermitian_gather(matrix: np.ndarray):
     for lo in range(1, idx.shape[0], step):
         pair = rows[lo:lo + step]
         pair[...] = flat[s * length + idx[lo:lo + step]]
-        mirror = np.conjugate(flat[idx[lo:lo + step] * length + s])
+        mirror = np.conjugate(flat[idx[lo:lo + step] * length + s],
+                              dtype=np.complex128)
         # a pair that agrees bit for bit is its own mean
         if not np.array_equal(pair.view(np.int64), mirror.view(np.int64)):
             exact = False
@@ -158,7 +146,7 @@ def _make_hermitian(rows: np.ndarray) -> np.ndarray:
 def _hermitian_matrix(rows: np.ndarray) -> np.ndarray:
     """The Hermitian H with H[s, s - d] = rows[d, s], d = 0..L//2.
 
-    The inverse of ``_hermitian_rows`` for rows passed through
+    The inverse of ``_hermitian_gather`` for rows passed through
     ``_make_hermitian``, so H is Hermitian bit for bit.  ``rows`` is only
     read: the upper write puts the rows in place and the whole of H is
     conjugated, then the lower write lands last where the two meet.
@@ -168,9 +156,10 @@ def _hermitian_matrix(rows: np.ndarray) -> np.ndarray:
     s = np.arange(length)
     out = np.empty((length, length), dtype=np.complex128)
     flat = out.reshape(-1)  # flat indices scatter faster than [idx, s]
-    flat[idx * length + s] = rows
+    pos = idx * length  # one index buffer for both writes
+    flat[np.add(pos, s, out=pos)] = rows
     np.conjugate(out, out=out)
-    flat[s * length + idx] = rows
+    flat[np.add(np.multiply(s, length, out=pos), idx, out=pos)] = rows
     return out
 
 
@@ -221,7 +210,7 @@ def hermitian_symbol(matrix: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """
     if matrix.shape != (phi.size, phi.size):
         raise ValidationError(f"matrix {matrix.shape} != window length {phi.size}")
-    return _symbol_of_half(_hermitian_rows(matrix),
+    return _symbol_of_half(_hermitian_gather(matrix)[0],
                            np.fft.fft(_lag_table(phi), axis=1))
 
 
@@ -234,7 +223,7 @@ def weyl_symbol(matrix: np.ndarray) -> np.ndarray:
     half-lag as the lag table.  O(L^2 log L).
     """
     length = matrix.shape[0]
-    return _symbol_of_half(_hermitian_rows(matrix),
+    return _symbol_of_half(_hermitian_gather(matrix)[0],
                            _midpoint_lag_spectrum(length))
 
 

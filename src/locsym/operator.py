@@ -32,8 +32,8 @@ import numpy as np
 
 from .core import WindowSystem, as_signal, check_length
 from .errors import NotSelfAdjointError, ValidationError
-from .gabor import (_hermitian_gather, _hermitian_matrix, _hermitian_rows,
-                    _lag_table, _make_hermitian)
+from .gabor import (_hermitian_gather, _hermitian_matrix, _lag_table,
+                    _make_hermitian)
 from .mapio import _open_new
 
 HERMITIAN_REJECT_TOL = 1e-6
@@ -55,7 +55,8 @@ class LocOperator:
     max |A - A*|, 0 for an operator that ``build_locop`` made from a real
     symbol.  A matrix that ``_hermitian_matrix(rows)`` gives back bit for
     bit, as it does every built one, is formed from the rows on first read
-    and kept; any other is kept as a copy of the one given.  Both arrays
+    and kept; any other is kept beside the rows, as a copy of the one
+    given or, built from a complex symbol, as assembled.  Both arrays
     are read-only, and no attribute can be reassigned, so the two always
     agree.
     """
@@ -66,10 +67,7 @@ class LocOperator:
             raise ValidationError(
                 f"operator matrix must be square, got shape {matrix.shape}")
         check_length(matrix.shape[0], "operator size")
-        rows, asymmetry, exact = _hermitian_gather(matrix)
-        self._hold(rows, asymmetry, symbol_hash)
-        if not exact:
-            vars(self)["matrix"] = _read_only(np.array(matrix))
+        self._gather(matrix, symbol_hash, copy=True)
 
     @classmethod
     def _of_rows(cls, rows: np.ndarray, symbol_hash: str) -> "LocOperator":
@@ -78,9 +76,17 @@ class LocOperator:
         op._hold(rows, 0.0, symbol_hash)
         return op
 
+    def _gather(self, matrix: np.ndarray, symbol_hash: str, copy: bool):
+        # keeps the matrix, or a copy of it, when the rows do not give it back
+        rows, asymmetry, exact = _hermitian_gather(matrix)
+        self._hold(rows, asymmetry, symbol_hash)
+        if not exact:
+            vars(self)["matrix"] = _read_only(np.array(matrix) if copy else matrix)
+
     def _hold(self, rows: np.ndarray, asymmetry: float, symbol_hash: str):
-        # a non-finite entry of A gives a non-finite row
-        if not np.all(np.isfinite(rows)):
+        # a non-finite entry of A gives a non-finite row, or on the main
+        # diagonal, whose imaginary part the rows drop, a non-finite asymmetry
+        if not (np.all(np.isfinite(rows)) and np.isfinite(asymmetry)):
             raise ValidationError("operator has non-finite entries")
         vars(self).update(rows=_read_only(rows), asymmetry=asymmetry,
                           symbol_hash=symbol_hash)
@@ -142,7 +148,7 @@ class Spectrum:
 
     @functools.cached_property
     def rows(self) -> np.ndarray:
-        return _read_only(_hermitian_rows(self.matrix))
+        return _read_only(_hermitian_gather(self.matrix)[0])
 
     @functools.cached_property
     def _pairs(self):
@@ -210,12 +216,16 @@ def build_locop(symbol, windows: WindowSystem) -> LocOperator:
         )
     rows = _locop_rows(f.real, windows)
     digest = hashlib.sha256(np.ascontiguousarray(f)).hexdigest()[:16]
-    if np.iscomplexobj(f):
-        matrix = _hermitian_matrix(rows)
-        del rows  # freed before the imaginary part is assembled
-        matrix = matrix + 1j * _hermitian_matrix(_locop_rows(f.imag, windows))
-        return LocOperator(matrix, symbol_hash=digest)
-    return LocOperator._of_rows(rows, digest)
+    if not np.iscomplexobj(f):
+        return LocOperator._of_rows(rows, digest)
+    matrix = _hermitian_matrix(rows)
+    del rows  # freed before the imaginary part is assembled
+    imag = _hermitian_matrix(_locop_rows(f.imag, windows))
+    imag *= 1j
+    matrix += imag
+    op = LocOperator.__new__(LocOperator)
+    op._gather(matrix, digest, copy=False)  # nothing else holds the matrix
+    return op
 
 
 def apply(op: LocOperator, psi) -> np.ndarray:

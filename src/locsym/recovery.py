@@ -47,7 +47,7 @@ import numpy as np
 
 from .core import WindowSystem, as_signal
 from .errors import DegenerateKernelError, NumericalError, ValidationError
-from .gabor import (_hermitian_rows, _lag_table, _midpoint_lag_spectrum,
+from .gabor import (_hermitian_gather, _lag_table, _midpoint_lag_spectrum,
                     _psd_symbol, _symbol_of_half)
 from .operator import (LocOperator, Spectrum, _eigen_sum, build_locop,
                        eigendecompose)
@@ -93,7 +93,7 @@ def wn_limit(spectrum: Spectrum, phi) -> np.ndarray:
     """
     phi = _unit_window(phi, spectrum.size)
     lam = spectrum.eigenvalues
-    rows = _hermitian_rows(_eigen_sum(lam * lam, spectrum.eigenvectors))
+    rows = _hermitian_gather(_eigen_sum(lam * lam, spectrum.eigenvectors))[0]
     return _psd_symbol(rows, phi)[0]
 
 
@@ -120,7 +120,7 @@ def wn_recover(op: LocOperator, phi, draws: int, noise_var: float,
     covariance, energy = _noise_covariance(op.matrix, draws,
                                            math.sqrt(noise_var / 2.0), seed)
     covariance /= draws
-    avg, clip = _psd_symbol(_hermitian_rows(covariance), phi)
+    avg, clip = _psd_symbol(_hermitian_gather(covariance)[0], phi)
     noise_var_hat = energy / (draws * length)
     meta = {
         "draws": draws,
@@ -183,7 +183,7 @@ def _noise_covariance(matrix: np.ndarray, draws: int, scale: float, seed: int):
 
 
 def _truncation(spectrum: Spectrum, terms: int):
-    """The ``_hermitian_rows`` of A_N, the operator rebuilt from its
+    """The half-lattice rows of A_N, the operator rebuilt from its
     ``terms`` leading eigenpairs, and the eigenvalue tail mass
     sum_{m >= N} |lambda_m| it leaves out.
 
@@ -209,7 +209,7 @@ def _truncation(spectrum: Spectrum, terms: int):
         )
     truncated = _eigen_sum(spectrum.eigenvalues[:terms],
                            spectrum.eigenvectors[:terms])
-    return _hermitian_rows(truncated), float(np.sum(mag[terms:]))
+    return _hermitian_gather(truncated)[0], float(np.sum(mag[terms:]))
 
 
 def was_recover(spectrum: Spectrum, system: WindowSystem,
@@ -268,7 +268,7 @@ def pt_recover(op: LocOperator, basis, phi) -> RecoveryResult:
         if len(family) < op.size:
             images = images @ family.T
     out, clip = _psd_symbol(
-        _hermitian_rows(images @ images.conj().T), phi)
+        _hermitian_gather(images @ images.conj().T)[0], phi)
     return RecoveryResult(out, "pt", {"basis_size": images.shape[1],
                                       "psd_clip": clip})
 

@@ -817,6 +817,7 @@ MALFORMED_RECOVER_OPTIONS = {
     "operator-length-0": ("--method", "gp", "--operator", "op0.bin"),
     "operator-length-3": ("--method", "gp", "--operator", "op3.bin"),
     "operator-length-max": ("--method", "gp", "--operator", "op4097.bin"),
+    "operator-imaginary-nan": ("--method", "gp", "--operator", "op32nan.bin"),
 }
 
 
@@ -831,6 +832,10 @@ def test_malformed_recover_option_exits_2(tmp_path, circle, capsys,
     for length in (0, 3, 4097):  # header only, L outside 4..MAX_LENGTH
         with open(f"op{length}.bin", "wb") as fh:
             fh.write(b"LOCOP1\0\0" + length.to_bytes(4, "little") + bytes(4))
+    save_locop(LocOperator(np.eye(32, dtype=complex)), "op32nan.bin")
+    with open("op32nan.bin", "r+b") as fh:  # imaginary part of entry [0, 0]
+        fh.seek(24)
+        fh.write(np.array(np.nan, dtype="<f8").tobytes())
     assert run("recover", "--symbol", circle, "--size", 32, *options,
                "--out", "x") == 2
     assert capsys.readouterr().err.startswith("error: ")

@@ -94,10 +94,15 @@ class TestOperatorMatrix:
         with pytest.raises(ValidationError, match="square"):
             LocOperator(matrix)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
-    def test_rejects_non_finite(self, bad):
+    # the main diagonal's imaginary part is checked too, though its rows
+    # keep only the real part
+    @pytest.mark.parametrize("entry, bad", [
+        ((2, 5), np.nan), ((2, 5), np.inf), ((2, 5), complex(0.0, -np.inf)),
+        ((2, 2), complex(1.0, np.nan)), ((2, 2), complex(1.0, -np.inf))],
+        ids=["nan", "inf", "-infj", "diagonal-nanj", "diagonal--infj"])
+    def test_rejects_non_finite(self, entry, bad):
         matrix = np.eye(8, dtype=complex)
-        matrix[2, 5] = bad
+        matrix[entry] = bad
         with pytest.raises(ValidationError, match="non-finite"):
             LocOperator(matrix)
         with pytest.raises(ValidationError):
@@ -106,11 +111,14 @@ class TestOperatorMatrix:
     def test_dump_error_names_the_path(self, tmp_path):
         path = tmp_path / "op.bin"
         save_locop(LocOperator(np.eye(8, dtype=complex)), path)
-        blob = bytearray(path.read_bytes())
-        blob[16:24] = np.array(np.nan, dtype="<f8").tobytes()
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ValidationError, match="op.bin: operator has non-finite"):
-            load_locop(path)
+        for word in (16, 24):  # a NaN real, then imaginary, part of [0, 0]
+            blob = bytearray(path.read_bytes())
+            blob[word:word + 8] = np.array(np.nan, dtype="<f8").tobytes()
+            bad = tmp_path / f"bad{word}.bin"
+            bad.write_bytes(bytes(blob))
+            with pytest.raises(ValidationError,
+                               match=f"bad{word}.bin: operator has non-finite"):
+                load_locop(bad)
 
 
 class TestApply:

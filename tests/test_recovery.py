@@ -460,6 +460,15 @@ class TestPlaneTiling:
         # squared-symbol target is non-negative by construction
         assert est_std.min() >= -1e-9
 
+    def test_integer_matrix_gives_the_float_estimate(self):
+        # an integer operator's images stay integer; their rows are complex
+        g = make_gaussian_window(16)
+        m = np.arange(256).reshape(16, 16)
+        for basis in (None, hermite_system(16, 8)):
+            est = pt_recover(LocOperator(m), basis, g).estimate
+            ref = pt_recover(LocOperator(m.astype(float)), basis, g).estimate
+            assert est.tobytes() == ref.tobytes()
+
     def test_partial_hermite_family_near_its_center(self):
         # a 40-term family centered on the bump captures the local value
         L = 64
