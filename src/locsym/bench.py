@@ -17,19 +17,21 @@ import time
 
 import numpy as np
 
-from .core import (LENGTH_RULE, WindowSystem, hermite_system, is_integer,
-                   is_length, make_gaussian_window)
+from .core import (LENGTH_RULE, WindowSystem, hermite_system, is_length,
+                   make_gaussian_window)
 from .errors import ValidationError
 from .metrics import rel_l1_error
 from .operator import build_locop, eigendecompose
-from .recovery import METHODS, SQUARED_TARGET, recover
-from .symbols import SymbolSpec, check_fields, gen_symbol, is_real
+from .recovery import METHODS, SQUARED_TARGET, _check_options, recover
+from .symbols import SymbolSpec, check_fields, gen_symbol
 
 SCHEMA_VERSION = 1
 
 
 def parse_window(kind: str, size: int) -> np.ndarray:
-    """Window from a CLI-style spec: ``gauss`` or ``hermite:k``."""
+    """Window from a CLI-style spec: the string ``gauss`` or ``hermite:k``."""
+    if not isinstance(kind, str):
+        raise ValidationError(f"window spec must be a string, got {kind!r}")
     if kind == "gauss":
         return make_gaussian_window(size).astype(np.complex128)
     if kind.startswith("hermite:"):
@@ -44,10 +46,12 @@ def parse_window(kind: str, size: int) -> np.ndarray:
 
 
 def window_system_from_config(spec, size: int) -> WindowSystem:
-    """Equal-weight window system from one window spec or a list of them."""
-    kinds = [spec] if isinstance(spec, str) else list(spec)
-    if not kinds:
-        raise ValidationError("window list is empty")
+    """Equal-weight window system from one window spec or a non-empty
+    list of them."""
+    kinds = [spec] if isinstance(spec, str) else spec
+    if not (isinstance(kinds, (list, tuple)) and kinds):
+        raise ValidationError("window must be a string or a non-empty list "
+                              f"of strings, got {spec!r}")
     weight = 1.0 / len(kinds)
     return WindowSystem.from_pairs(
         [(weight, parse_window(kind, size)) for kind in kinds]
@@ -61,21 +65,18 @@ def resolve_windows(spec, recon_spec, size: int):
     return windows, phi
 
 
-# (key, test, what the value must be) for each top-level config key
+# (key, test, what the value must be) for the top-level config keys that
+# no reader checks: recovery's option rules check the estimator options,
+# parse_window and window_system_from_config the windows
 _CONFIG_CHECKS = (
     ("size", is_length, LENGTH_RULE),
-    ("noise_draws", is_integer, "an integer"),
-    ("seed", is_integer, "an integer"),
-    ("eig_terms", lambda v: v is None or is_integer(v), "an integer or null"),
-    ("sigma2", is_real, "a real number"),
-    ("window", lambda v: isinstance(v, str) or (
-        isinstance(v, list) and len(v) > 0
-        and all(isinstance(kind, str) for kind in v)),
-     "a string or a non-empty list of strings"),
-    ("recon_window", lambda v: v is None or isinstance(v, str),
-     "a string or null"),
     ("symbols", lambda v: isinstance(v, list), "a list of objects"),
 )
+# each config key that sets an estimator option: (the option, whose rule
+# checks the value, and the type the report holds it as: a numpy integer
+# reads as a plain int, an integer sigma2 1 as 1.0)
+_OPTION_KEYS = {"noise_draws": ("draws", int), "sigma2": ("noise_var", float),
+                "seed": ("seed", int), "eig_terms": ("terms", int)}
 # a symbol entry's own key; SymbolSpec checks kind, params and value_range
 _SYMBOL_CHECKS = (("name", lambda v: isinstance(v, str), "a string"),)
 
@@ -131,10 +132,12 @@ def _compare(method: str, estimate: np.ndarray, truth: np.ndarray,
 def bench_all(config: dict) -> dict:
     """Run every method on every configured symbol; returns the report.
 
-    Deterministic for a fixed seed.  The config is checked before any work
-    (ValidationError): ``size`` (required) is an integer in
-    4..MAX_LENGTH, ``noise_draws``, ``seed`` and ``eig_terms`` (null: L)
-    are integers, ``sigma2`` a real number, ``window`` a string or a
+    Deterministic for a fixed seed.  The config is checked, types and
+    ranges, before any symbol is generated (ValidationError): ``size``
+    (required) is an integer in 4..MAX_LENGTH; ``noise_draws`` an integer
+    >= 1, ``sigma2`` a finite real > 0, ``seed`` an integer in
+    0..2**64-1 and ``eig_terms`` an integer in 1..size or null (L), by
+    the rules ``wn`` and ``was``/``wawd`` apply; ``window`` a string or a
     non-empty list of strings, ``recon_window`` a string or null, and
     ``symbols`` a list of objects, each with an optional string ``name``
     (default: its kind; no two entries may share one) and the ``kind``,
@@ -142,15 +145,23 @@ def bench_all(config: dict) -> dict:
     """
     _check_config(config)
     size = int(config["size"])
-    window_spec = config.get("window", "gauss")
-    recon_spec = config.get("recon_window", None)
-    draws = int(config.get("noise_draws", 200))
-    sigma2 = float(config.get("sigma2", 1.0))
-    seed = int(config.get("seed", 0))
     terms = config.get("eig_terms")
-    terms = size if terms is None else int(terms)
+    resolved = {
+        "size": size,
+        "window": config.get("window", "gauss"),
+        "recon_window": config.get("recon_window"),
+        "noise_draws": config.get("noise_draws", 200),
+        "sigma2": config.get("sigma2", 1.0),
+        "seed": config.get("seed", 0),
+        "eig_terms": size if terms is None else terms,
+    }
+    options = {}
+    for key, (option, cast) in _OPTION_KEYS.items():
+        _check_options(size, f"bench config {key!r}", **{option: resolved[key]})
+        resolved[key] = options[option] = cast(resolved[key])
     specs = _symbol_specs(config.get("symbols", []), size)
-    windows, phi = resolve_windows(window_spec, recon_spec, size)
+    windows, phi = resolve_windows(resolved["window"], resolved["recon_window"],
+                                   size)
 
     rows = []
     for name, spec in specs.items():
@@ -160,9 +171,8 @@ def bench_all(config: dict) -> dict:
         spectrum = eigendecompose(op)  # lazy: was and wawd share one eigh
         for method in METHODS:
             tic = time.perf_counter()
-            estimate = recover(method, op, phi, terms=terms, draws=draws,
-                               noise_var=sigma2, seed=seed,
-                               spectrum=spectrum).estimate
+            estimate = recover(method, op, phi, spectrum=spectrum,
+                               **options).estimate
             seconds = time.perf_counter() - tic
             err, flags = _compare(method, estimate, truth, signed, size)
             rows.append({
@@ -173,16 +183,7 @@ def bench_all(config: dict) -> dict:
                 "seconds": seconds,
                 "flags": flags,
             })
-    resolved = {
-        "size": size,
-        "window": window_spec,
-        "recon_window": recon_spec,
-        "noise_draws": draws,
-        "sigma2": sigma2,
-        "seed": seed,
-        "eig_terms": terms,
-        "symbols": list(specs),
-    }
+    resolved["symbols"] = list(specs)
     return {"schema_version": SCHEMA_VERSION, "config": resolved, "rows": rows}
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,13 @@ LENGTH_RULE = f"an integer in 4..{MAX_LENGTH}"
 
 def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A real number inside the float range; NaN, infinities, bools and
+    larger integers are not."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def is_length(value) -> bool:
@@ -90,6 +98,27 @@ def _orthonormal_samples(h: np.ndarray):
     return q if np.max(np.abs(gram)) <= _HERMITE_GRAM_TOL else None
 
 
+def _scaled_hermite(u: np.ndarray, count: int) -> np.ndarray:
+    """Rows h_0..h_{count-1} at points u where the sampled Gaussian
+    underflows: the recurrence of ``hermite_system`` run from h_0 = 1 with a
+    per-point log scale, both carried values scaled by 1e-150 whenever the
+    newer passes 1e150, and each row taken as sign * exp(log |value| + scale)."""
+    h = np.empty((count, u.size))
+    scale = -u ** 2 / 2 - math.log(math.pi) / 4
+    prev, cur = np.zeros_like(u), np.ones_like(u)
+    with np.errstate(divide="ignore"):  # the log of an exact zero
+        for k in range(count):
+            if k:
+                prev, cur = cur, (math.sqrt(2 / k) * u * cur
+                                  - math.sqrt((k - 1) / k) * prev)
+                big = np.abs(cur) > 1e150
+                cur[big] *= 1e-150
+                prev[big] *= 1e-150
+                scale[big] += 150 * math.log(10)
+            h[k] = np.sign(cur) * np.exp(np.log(np.abs(cur)) + scale)
+    return h
+
+
 def hermite_system(length: int, count: int, center=(0, 0)) -> np.ndarray:
     """First ``count`` Hermite functions sampled on the grid, as rows.
 
@@ -105,7 +134,10 @@ def hermite_system(length: int, count: int, center=(0, 0)) -> np.ndarray:
     basis to roundoff; as count nears L the sampled family becomes nearly
     dependent and the trailing rows are one of many equally orthonormal
     completions.  The k = 0 member is the sampled Gaussian, so the
-    unshifted family sits at the phase-plane origin.
+    unshifted family sits at the phase-plane origin.  Where that Gaussian
+    is below the smallest normal float, from L = 902 on, the recurrence
+    would underflow to zero for every k; there ``_scaled_hermite`` computes
+    the rows instead, so full families stay independent.
     """
     check_length(length)
     if not 1 <= count <= length:
@@ -120,6 +152,10 @@ def hermite_system(length: int, count: int, center=(0, 0)) -> np.ndarray:
         h[1] = math.sqrt(2) * u * h[0]
     for k in range(2, count):
         h[k] = math.sqrt(2 / k) * u * h[k - 1] - math.sqrt((k - 1) / k) * h[k - 2]
+    tiny = np.finfo(float).tiny
+    if h[0, 0] < tiny:  # the Gaussian is least at j = 0, farthest from L/2
+        edge = h[0] < tiny
+        h[:, edge] = _scaled_hermite(u[edge], count)
     q = None
     if _HERMITE_GRAM_MIN_COUNT <= count <= length // 2:
         q = _orthonormal_samples(h)

@@ -110,7 +110,9 @@ class Spectrum:
     """Eigenvalues (descending |lambda|) and matching orthonormal eigenvectors.
 
     ``eigenvectors[i]`` is the eigenvector for ``eigenvalues[i]``.  Built
-    either from eigenpairs, ``Spectrum(eigenvalues, eigenvectors)``, or by
+    either from eigenpairs, ``Spectrum(eigenvalues, eigenvectors)``, which
+    takes finite 1-d eigenvalues and finite (N, N) eigenvectors, N an
+    integer in 4..MAX_LENGTH, and keeps the arrays given, or by
     :func:`eigendecompose` from an operator's half-lattice rows, which
     defers ``eigh``: the first read of ``eigenvalues`` or ``eigenvectors``
     runs it (a ``LinAlgError`` surfaces there) and keeps the result.
@@ -127,7 +129,15 @@ class Spectrum:
     """
 
     def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray):
-        self._pairs = (eigenvalues, eigenvectors)
+        lam, vec = np.asarray(eigenvalues), np.asarray(eigenvectors)
+        if lam.ndim != 1 or vec.shape != (lam.size, lam.size):
+            raise ValidationError(
+                f"eigenvalues must be 1-d and eigenvectors (N, N), got "
+                f"shapes {lam.shape} and {vec.shape}")
+        check_length(lam.size, "spectrum size")
+        if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(vec))):
+            raise ValidationError("eigenpairs have non-finite entries")
+        self._pairs = (lam, vec)
 
     @property
     def size(self) -> int:
@@ -200,6 +210,8 @@ def _locop_rows(f: np.ndarray, windows: WindowSystem) -> np.ndarray:
 def build_locop(symbol, windows: WindowSystem) -> LocOperator:
     """Assemble the localization operator for ``symbol`` over ``windows``.
 
+    The symbol must be a finite square map whose size L passes the length
+    rule, checked before anything of size L is allocated.
     O(L^2 log L) per window.  A real symbol gives an exactly Hermitian
     operator held as its half-lattice rows; a complex one gives the dense
     A(Re f) + 1j * A(Im f).
@@ -207,6 +219,7 @@ def build_locop(symbol, windows: WindowSystem) -> LocOperator:
     f = np.asarray(symbol)
     if f.ndim != 2 or f.shape[0] != f.shape[1]:
         raise ValidationError(f"symbol must be a square map, got {f.shape}")
+    check_length(f.shape[0], "symbol size")  # before any L x L mask
     if not np.all(np.isfinite(f)):
         raise ValidationError("symbol has non-finite entries")
     length = f.shape[0]

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import WindowSystem, as_signal
+from .core import WindowSystem, as_signal, is_integer, is_real
 from .errors import DegenerateKernelError, NumericalError, ValidationError
 from .gabor import (_hermitian_gather, _lag_table, _midpoint_lag_spectrum,
                     _psd_symbol, _symbol_of_half)
@@ -57,6 +57,18 @@ DEGENERACY_GAP = 1e-8
 METHODS = ("wn", "was", "wawd", "pt", "gp")
 SQUARED_TARGET = ("wn", "pt")  # these estimate f**2, the rest f
 IMPULSE_ESTIMATORS = ("gp", "was")  # what a measured impulse kernel runs
+# the one rule of each estimator option: (its name in messages, test of a
+# value at operator size L, what a value must be)
+_OPTION_RULES = {
+    "draws": ("draws", lambda v, size: is_integer(v) and v >= 1,
+              "an integer >= 1"),
+    "noise_var": ("noise variance", lambda v, size: is_real(v) and v > 0,
+                  "a finite real > 0"),
+    "seed": ("seed", lambda v, size: is_integer(v) and 0 <= v < 2 ** 64,
+             "an integer in 0..2**64-1"),
+    "terms": ("terms", lambda v, size: is_integer(v) and 1 <= v <= size,
+              "an integer in 1..{size}"),
+}
 
 
 @dataclass(frozen=True)
@@ -66,6 +78,17 @@ class RecoveryResult:
     estimate: np.ndarray
     method: str
     meta: dict = field(default_factory=dict)
+
+
+def _check_options(size: int, name=None, **options) -> None:
+    """Raise ValidationError unless each estimator option given passes its
+    rule at operator size ``size``; the message calls a failing value
+    ``name``, by default its rule's own name for it."""
+    for option, value in options.items():
+        label, valid, must_be = _OPTION_RULES[option]
+        if not valid(value, size):
+            raise ValidationError(f"{name or label} must be "
+                                  f"{must_be.format(size=size)}, got {value!r}")
 
 
 def _unit_window(phi, length: int) -> np.ndarray:
@@ -101,27 +124,28 @@ def wn_recover(op: LocOperator, phi, draws: int, noise_var: float,
                seed: int) -> RecoveryResult:
     """Monte-Carlo white-noise probing of the operator.
 
-    Draws ``draws`` complex circular Gaussian signals with per-entry
-    variance ``noise_var`` (substream per realization keyed by (seed, k),
-    with ``seed`` in 0..2**64-1), filters each through the operator and
-    averages the spectrograms.  The estimate is that average divided by the observed
+    Draws ``draws`` (an integer >= 1) complex circular Gaussian signals
+    with per-entry variance ``noise_var`` (a finite real > 0), substream
+    per realization keyed by (seed, k) with ``seed`` an integer in
+    0..2**64-1, filters each through the operator and averages the
+    spectrograms.  The estimate is that average divided by the observed
     noise level, the mean of |dgt(noise, phi)|^2 over realizations and
     lattice points; it targets the squared symbol, so signs are lost.
+    A ``noise_var`` whose noise leaves the float range, overflowing or
+    underflowing to zero, raises NumericalError.
     """
     phi = _unit_window(phi, op.size)
-    if draws < 1:
-        raise ValidationError(f"draws must be >= 1, got {draws}")
-    if not (math.isfinite(noise_var) and noise_var > 0):
-        raise ValidationError(
-            f"noise variance must be positive and finite, got {noise_var}")
-    if not 0 <= seed < 2 ** 64:
-        raise ValidationError(f"seed must be in 0..2**64-1, got {seed}")
+    _check_options(op.size, draws=draws, noise_var=noise_var, seed=seed)
     length = op.size
-    covariance, energy = _noise_covariance(op.matrix, draws,
-                                           math.sqrt(noise_var / 2.0), seed)
-    covariance /= draws
-    avg, clip = _psd_symbol(_hermitian_gather(covariance)[0], phi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        covariance, energy = _noise_covariance(
+            op.matrix, draws, math.sqrt(noise_var / 2.0), seed)
+        covariance /= draws
+        avg, clip = _psd_symbol(_hermitian_gather(covariance)[0], phi)
     noise_var_hat = energy / (draws * length)
+    if not (0 < noise_var_hat < math.inf and np.all(np.isfinite(avg))):
+        raise NumericalError(f"white noise of variance {noise_var!r} leaves "
+                             "the float range")
     meta = {
         "draws": draws,
         "noise_var": noise_var,
@@ -193,10 +217,7 @@ def _truncation(spectrum: Spectrum, terms: int):
     A cut between two |lambda| closer than DEGENERACY_GAP * |lambda_0| makes
     A_N depend on roundoff, so it raises unless the rest is negligible.
     """
-    if not 1 <= terms <= spectrum.size:
-        raise ValidationError(
-            f"terms must be in 1..{spectrum.size}, got {terms}"
-        )
+    _check_options(spectrum.size, terms=terms)
     if terms == spectrum.size:
         return spectrum.rows.copy(), 0.0
     mag = np.abs(spectrum.eigenvalues)
@@ -253,6 +274,7 @@ def pt_recover(op: LocOperator, basis, phi) -> RecoveryResult:
     ``basis`` is an orthonormal family (rows), full or partial; None means
     complete.  Any complete basis gives wn_limit, the lower symbol of
     B B* = A E^T conj(E) A* = A A*, so that case forms no basis and no B.
+    A family with a NaN or infinite entry fails the orthonormality test.
     """
     phi = _unit_window(phi, op.size)
     images = op.matrix
@@ -260,10 +282,13 @@ def pt_recover(op: LocOperator, basis, phi) -> RecoveryResult:
         family = np.atleast_2d(np.asarray(basis, dtype=np.complex128))
         if family.shape[1] != op.size:
             raise ValidationError("basis length does not match operator size")
-        gram = family @ family.conj().T
+        # a huge or infinite entry gives an infinite or NaN Gram entry
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = family @ family.conj().T
         gram[np.diag_indices_from(gram)] -= 1.0
-        if np.max(np.abs(gram)) > 1e-8:
-            raise ValidationError("basis must be orthonormal within 1e-8")
+        if not np.max(np.abs(gram)) <= 1e-8:  # NaN fails too
+            raise ValidationError(
+                "basis must be finite and orthonormal within 1e-8")
         del gram  # freed before B B* is formed
         if len(family) < op.size:
             images = images @ family.T
@@ -306,7 +331,9 @@ def recover(method: str, op: LocOperator, phi, *, terms=None, draws: int = 100,
     ``basis`` is pt's orthonormal family (None: complete, A A*) and
     ``region`` restricts gp.  ``spectrum`` (was, wawd) is
     ``eigendecompose(op)`` to reuse, so several calls on one operator run
-    ``eigh`` at most once; None makes a fresh one.
+    ``eigh`` at most once; None makes a fresh one.  Each of ``terms``,
+    ``draws``, ``noise_var`` and ``seed`` is checked, type and range by its
+    one rule in ``_OPTION_RULES``, only by a method that reads it.
     """
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}")

@@ -9,20 +9,12 @@ bit-identical maps.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LENGTH_RULE, is_integer, is_length
+from .core import LENGTH_RULE, is_integer, is_length, is_real
 from .errors import ValidationError
-
-
-def is_real(value) -> bool:
-    """A finite real number; NaN and infinities are not."""
-    return is_integer(value) or (isinstance(value, numbers.Real)
-                                 and not isinstance(value, bool)
-                                 and math.isfinite(value))
 
 
 def _reals(count: int):
@@ -101,9 +93,10 @@ def torus_distance_grid(size: int) -> np.ndarray:
 
 
 def gaussian_blur(f, sigma: float) -> np.ndarray:
-    """Mass-preserving circular blur with a unit-mass Gaussian kernel."""
-    if sigma < 0:
-        raise ValidationError(f"blur sigma must be >= 0, got {sigma}")
+    """Mass-preserving circular blur with a unit-mass Gaussian kernel of
+    width ``sigma``, a finite real >= 0 (ValidationError otherwise)."""
+    if not (is_real(sigma) and sigma >= 0):
+        raise ValidationError(f"blur sigma must be >= 0 and finite, got {sigma!r}")
     f = np.asarray(f, dtype=np.float64)
     if sigma == 0:
         return f.copy()

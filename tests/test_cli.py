@@ -554,8 +554,10 @@ MALFORMED_BENCH_CONFIGS = {
     "noise_draws-float": bench_config_text(noise_draws=2.5),
     "seed-float": bench_config_text(seed=1.9),
     "sigma2-str": bench_config_text(sigma2="1"),
+    "sigma2-huge-int": bench_config_text(sigma2=10 ** 400),
     "window-int": bench_config_text(window=5),
     "window-empty": bench_config_text(window=[]),
+    "window-list-int": bench_config_text(window=["gauss", 5]),
     "recon_window-int": bench_config_text(recon_window=7),
     "value_range-one": bench_config_text(
         symbols=[{"kind": "circle", "value_range": [0]}]),
@@ -581,6 +583,27 @@ def test_malformed_bench_config_exits_2(tmp_path, capsys, text):
     cfg.write_text(text)
     assert run("bench", "--config", cfg, "--out", tmp_path / "report") == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("seed", -3), ("noise_draws", 0), ("sigma2", 0), ("eig_terms", 0),
+    ("eig_terms", 17)], ids=["seed--3", "noise_draws-0", "sigma2-0",
+                             "eig_terms-0", "eig_terms-size+1"])
+def test_bench_option_out_of_range_exits_2_before_any_work(
+        tmp_path, capsys, monkeypatch, key, value):
+    # the range of each estimator option is checked with its type, before
+    # the first symbol is generated or operator built
+    def no_work(*args):
+        raise AssertionError("work started before the config was checked")
+
+    monkeypatch.setattr("locsym.bench.gen_symbol", no_work)
+    monkeypatch.setattr("locsym.bench.build_locop", no_work)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(bench_config_text(**{key: value}))  # size 16
+    assert run("bench", "--config", cfg, "--out", tmp_path / "report") == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: bench config {key!r} must be ")
     assert not (tmp_path / "report").exists()
 
 
@@ -710,6 +733,7 @@ MISTYPED_SYMBOL_PARAMS = {
     "tiles-count-float": ("tiles", {"count": 2.7}),
     "blurred-sigma-nan": ("blurred_lines_circles", {"sigma": float("nan")}),
     "star-r_outer-inf": ("star", {"r_outer": float("inf")}),
+    "circle-radius-huge-int": ("circle", {"radius": 10 ** 400}),
 }
 
 

@@ -164,6 +164,28 @@ class TestHermiteSystem:
         np.testing.assert_array_equal(hermite_system(L, count, center),
                                       reference)
 
+    @pytest.mark.parametrize("L", [953, 1024])
+    def test_full_family_where_the_gaussian_underflows(self, L):
+        # the sampled Gaussian is below the smallest normal float at the
+        # edge points from L = 902 on, where every unscaled row vanishes
+        q = hermite_system(L, L)
+        assert np.max(np.abs(q @ q.conj().T - np.eye(L))) < 1e-12
+
+    def test_scaled_rows_match_the_recurrence_where_it_is_normal(self):
+        from locsym.core import _scaled_hermite
+
+        count = 400
+        u = np.linspace(-20.0, -5.0, 31)  # the Gaussian is a normal float
+        h = np.zeros((count, u.size))
+        h[0] = np.pi ** -0.25 * np.exp(-u ** 2 / 2)
+        h[1] = math.sqrt(2) * u * h[0]
+        for k in range(2, count):
+            h[k] = (math.sqrt(2 / k) * u * h[k - 1]
+                    - math.sqrt((k - 1) / k) * h[k - 2])
+        scaled = _scaled_hermite(u, count)
+        np.testing.assert_allclose(scaled, h, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(h)))
+
     def test_count_out_of_range(self):
         with pytest.raises(ValidationError):
             hermite_system(16, 17)

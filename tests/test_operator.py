@@ -85,6 +85,28 @@ class TestBuild:
         with pytest.raises(ValidationError):
             build_locop(np.ones((32, 32)), ws)
 
+    def test_rejects_a_length_below_four(self):
+        # LocOperator and load_locop refuse L = 3, so a dump of it could
+        # never be read back
+        windows = WindowSystem.single(np.ones(3) / np.sqrt(3))
+        with pytest.raises(ValidationError, match="symbol size must be"):
+            build_locop(np.ones((3, 3)), windows)
+
+    def test_rejects_a_length_above_max_before_allocating(self, gauss64):
+        import tracemalloc
+
+        symbol = np.broadcast_to(0.0, (MAX_LENGTH + 1,) * 2)  # no data
+        assert not symbol.flags.writeable
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=f"4..{MAX_LENGTH}"):
+                build_locop(symbol, gauss64[1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an isfinite mask of this symbol would take 16 MiB
+        assert peak < 2 ** 16
+
 
 class TestOperatorMatrix:
     @pytest.mark.parametrize("matrix", [np.ones((8, 6)), np.ones(8),
@@ -251,6 +273,23 @@ class TestLazySpectrum:
         spec = eigendecompose(op)
         assert spec.eigenvalues.tobytes() == lam[order].tobytes()
         assert spec.eigenvectors.tobytes() == vec.T[order].tobytes()
+
+    @pytest.mark.parametrize("case", ["nan-value", "inf-vector", "2-d-values",
+                                      "vectors-N-by-N+1", "N-3"])
+    def test_rejects_malformed_eigenpairs(self, case):
+        lam, vec = np.linspace(1.0, 0.1, 8), np.eye(8, dtype=complex)
+        if case == "nan-value":
+            lam[3] = np.nan
+        elif case == "inf-vector":
+            vec[2, 5] = np.inf
+        elif case == "2-d-values":
+            lam = np.diag(lam)
+        elif case == "vectors-N-by-N+1":
+            vec = np.eye(8, 9, dtype=complex)
+        else:
+            lam, vec = lam[:3], vec[:3, :3]
+        with pytest.raises(ValidationError):
+            Spectrum(lam, vec)
 
     def test_built_from_eigenpairs(self, gauss64, eigh_calls):
         full = eigendecompose(self.op(gauss64, seed=22))

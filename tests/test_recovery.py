@@ -1,7 +1,11 @@
 """The five recovery methods, impulse kernels and deconvolution."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import locsym.recovery
 from locsym import (DegenerateKernelError, LocOperator, NotSelfAdjointError,
@@ -13,6 +17,7 @@ from locsym import (DegenerateKernelError, LocOperator, NotSelfAdjointError,
                     torus_distance_grid, was_recover, wawd_recover, wigner,
                     wn_limit, wn_recover)
 from locsym.gabor import dgt, hermitian_symbol
+from locsym.recovery import METHODS
 
 
 def gauss_setup(L, seed=None, symbol=None):
@@ -153,6 +158,65 @@ class TestNoiseSubstreams:
         est = wn_recover(op, g, 2, 1.0, 2 ** 64 - 1).estimate
         np.testing.assert_array_equal(
             est, per_draw_generator_wn(op, g, 2, 1.0, 2 ** 64 - 1))
+
+
+class TestOptionRules:
+    """One rule per estimator option, type and range together."""
+
+    @pytest.mark.parametrize("option,value", [
+        ("seed", 0.5), ("draws", 2.5), ("noise_var", True), ("seed", True),
+        ("draws", np.float64(3.0)), ("noise_var", 10 ** 400)],
+        ids=["seed-0.5", "draws-2.5", "noise_var-True", "seed-True",
+             "draws-float64", "noise_var-10**400"])
+    def test_wn_rejects_an_option_of_the_wrong_type(self, option, value):
+        # a float seed would key seed 0's substreams under another name
+        g, _, _, op = gauss_setup(16, seed=6)
+        options = {"draws": 4, "noise_var": 1.0, "seed": 0, option: value}
+        with pytest.raises(ValidationError, match="must be"):
+            wn_recover(op, g, **options)
+
+    @pytest.mark.parametrize("method", ["was", "wawd"])
+    @pytest.mark.parametrize("terms", [3.5, True, np.float64(4.0)])
+    def test_truncation_rejects_a_non_integer_term_count(self, method, terms):
+        g, _, _, op = gauss_setup(16, seed=9)
+        with pytest.raises(ValidationError, match="terms must be an integer"):
+            recover(method, op, g, terms=terms)
+
+    @pytest.mark.parametrize("noise_var", [5e-324, 1e308])
+    def test_noise_out_of_the_float_range_is_a_numerical_error(self,
+                                                               noise_var):
+        # a valid variance whose noise squares underflow to zero or overflow
+        g, _, _, op = gauss_setup(16, seed=6)
+        with pytest.raises(NumericalError, match="float range"):
+            wn_recover(op, g, 4, noise_var, 0)
+
+    def test_gp_reads_no_option(self):
+        g, _, _, op = gauss_setup(16, seed=6)
+        assert recover("gp", op, g, terms=0, draws=0, noise_var=-1.0,
+                       seed=-1).method == "gp"
+
+    # ints, floats, bools, NaN, +-inf and +-2**64; draws never takes a
+    # large valid value, which would run that many noise draws
+    _BAD = st.sampled_from([True, False, math.nan, math.inf, -math.inf,
+                            2 ** 64, -2 ** 64, 2 ** 64 - 1, 10 ** 400])
+    _ANY = st.one_of(st.integers(-3, 20), st.floats(), _BAD)
+
+    @settings(max_examples=150, deadline=None)
+    @given(method=st.sampled_from(METHODS), L=st.integers(8, 16),
+           terms=st.one_of(st.none(), _ANY),
+           draws=st.one_of(st.integers(-3, 6), st.floats(), st.booleans(),
+                           st.just(-2 ** 64)),
+           noise_var=_ANY, seed=_ANY)
+    def test_recover_ends_in_a_result_or_a_checked_error(
+            self, method, L, terms, draws, noise_var, seed):
+        g, _, _, op = gauss_setup(L, seed=L)
+        try:
+            result = recover(method, op, g, terms=terms, draws=draws,
+                             noise_var=noise_var, seed=seed)
+        except (ValidationError, NumericalError):
+            return
+        assert result.estimate.shape == (L, L)
+        assert np.all(np.isfinite(result.estimate))
 
 
 def star_two_windows(L):
@@ -511,6 +575,15 @@ class TestPlaneTiling:
         bad = np.stack([g, g])
         with pytest.raises(ValidationError):
             pt_recover(op, bad, g)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_a_non_finite_family(self, bad):
+        # a NaN Gram entry fails every comparison, so "> 1e-8" let it pass
+        g, _, _, op = gauss_setup(16, seed=14)
+        family = standard_basis(16)[:2]
+        family[1, 7] = bad
+        with pytest.raises(ValidationError, match="orthonormal"):
+            pt_recover(op, family, g)
 
 
 class TestGaborProjection:

@@ -64,6 +64,12 @@ class TestGeneration:
         with pytest.raises(ValidationError, match="sigma must be >= 0"):
             gaussian_blur(np.ones((16, 16)), -1)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
+    def test_gaussian_blur_rejects_a_non_finite_width(self, sigma):
+        # NaN fails "sigma < 0" as well as "sigma >= 0"
+        with pytest.raises(ValidationError, match="finite"):
+            gaussian_blur(np.ones((16, 16)), sigma)
+
     def test_tiles_checkerboard_structure(self):
         f = gen_symbol(SymbolSpec("tiles", 64, {"count": 4}))
         assert f[0, 0] == 1.0
