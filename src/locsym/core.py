@@ -62,6 +62,21 @@ def as_signal(x) -> np.ndarray:
     return psi
 
 
+def check_windows(windows: np.ndarray, length=None) -> None:
+    """The one rule for windows: raise ValidationError unless each window,
+    ``windows`` or each of its rows, is unit-norm within UNIT_NORM_TOL (a
+    NaN or infinite entry fails too) and, given ``length``, that long.
+    The normalization makes the symbol f = 1 give the identity."""
+    size = windows.shape[-1]
+    if length is not None and size != length:
+        raise ValidationError(f"window length {size} != operator size {length}")
+    norms = np.linalg.norm(windows, axis=-1)
+    off = abs(norms - 1.0)
+    if not off.max() <= UNIT_NORM_TOL:
+        raise ValidationError(f"windows must be unit-norm within {UNIT_NORM_TOL}, "
+                              f"got ||.|| = {float(norms.flat[off.argmax()])!r}")
+
+
 def make_gaussian_window(length: int) -> np.ndarray:
     """Unit-norm periodized Gaussian window centered at index L/2.
 
@@ -210,9 +225,7 @@ class WindowSystem:
             raise ValidationError(
                 f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {weights.sum()!r}"
             )
-        norms = np.linalg.norm(windows, axis=1)
-        if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
-            raise ValidationError("all windows must be unit-norm within 1e-12")
+        check_windows(windows)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "windows", windows)
 

@@ -175,10 +175,10 @@ def _symbol_of_half(rows: np.ndarray, lag_hat: np.ndarray) -> np.ndarray:
     linear in ``lag_hat``: a weighted sum of lag spectra gives the same
     weighted sum of symbols.
 
-    A complex ``rows`` is overwritten: both FFTs over s run in place in its
-    buffer.  A real ``rows`` is copied into a new complex one first.
+    ``rows``, complex128 like every table here, is overwritten: both FFTs
+    over s run in place in its buffer.
     """
-    spec = np.fft.fft(rows, axis=1, out=rows if np.iscomplexobj(rows) else None)
+    spec = np.fft.fft(rows, axis=1, out=rows)
     np.conjugate(spec, out=spec)
     spec *= lag_hat
     np.fft.fft(spec, axis=1, out=spec)

@@ -30,7 +30,7 @@ import struct
 
 import numpy as np
 
-from .core import WindowSystem, as_signal, check_length
+from .core import WindowSystem, as_signal, check_length, check_windows
 from .errors import NotSelfAdjointError, ValidationError
 from .gabor import (_hermitian_gather, _hermitian_matrix, _lag_table,
                     _make_hermitian)
@@ -56,9 +56,10 @@ class LocOperator:
     symbol.  A matrix that ``_hermitian_matrix(rows)`` gives back bit for
     bit, as it does every built one, is formed from the rows on first read
     and kept; any other is kept beside the rows, as a copy of the one
-    given or, built from a complex symbol, as assembled.  Both arrays
-    are read-only, and no attribute can be reassigned, so the two always
-    agree.
+    given or, built from a complex symbol, as assembled.  ``_hold`` alone
+    checks and sets this state, for the constructor and ``build_locop``
+    alike.  Both arrays are read-only, and no attribute can be reassigned,
+    so the two always agree.
     """
 
     def __init__(self, matrix: np.ndarray, symbol_hash: str = ""):
@@ -67,29 +68,22 @@ class LocOperator:
             raise ValidationError(
                 f"operator matrix must be square, got shape {matrix.shape}")
         check_length(matrix.shape[0], "operator size")
-        self._gather(matrix, symbol_hash, copy=True)
-
-    @classmethod
-    def _of_rows(cls, rows: np.ndarray, symbol_hash: str) -> "LocOperator":
-        """The Hermitian operator of ``_make_hermitian`` rows, which it keeps."""
-        op = cls.__new__(cls)
-        op._hold(rows, 0.0, symbol_hash)
-        return op
-
-    def _gather(self, matrix: np.ndarray, symbol_hash: str, copy: bool):
-        # keeps the matrix, or a copy of it, when the rows do not give it back
         rows, asymmetry, exact = _hermitian_gather(matrix)
-        self._hold(rows, asymmetry, symbol_hash)
-        if not exact:
-            vars(self)["matrix"] = _read_only(np.array(matrix) if copy else matrix)
+        self._hold(rows, asymmetry, symbol_hash, None if exact else np.array(matrix))
 
-    def _hold(self, rows: np.ndarray, asymmetry: float, symbol_hash: str):
+    def _hold(self, rows: np.ndarray, asymmetry: float, symbol_hash: str,
+              matrix=None):
+        """The one place the state is checked and set: ``rows``,
+        ``asymmetry``, ``symbol_hash`` and, when the rows do not give it
+        back, ``matrix`` as handed over, both arrays made read-only."""
         # a non-finite entry of A gives a non-finite row, or on the main
         # diagonal, whose imaginary part the rows drop, a non-finite asymmetry
         if not (np.all(np.isfinite(rows)) and np.isfinite(asymmetry)):
             raise ValidationError("operator has non-finite entries")
         vars(self).update(rows=_read_only(rows), asymmetry=asymmetry,
                           symbol_hash=symbol_hash)
+        if matrix is not None:
+            vars(self)["matrix"] = _read_only(matrix)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to LocOperator.{name}")
@@ -222,22 +216,21 @@ def build_locop(symbol, windows: WindowSystem) -> LocOperator:
     check_length(f.shape[0], "symbol size")  # before any L x L mask
     if not np.all(np.isfinite(f)):
         raise ValidationError("symbol has non-finite entries")
-    length = f.shape[0]
-    if windows.length != length:
-        raise ValidationError(
-            f"window length {windows.length} != symbol size {length}"
-        )
+    check_windows(windows.windows, f.shape[0])
     rows = _locop_rows(f.real, windows)
+    op = LocOperator.__new__(LocOperator)
     digest = hashlib.sha256(np.ascontiguousarray(f)).hexdigest()[:16]
     if not np.iscomplexobj(f):
-        return LocOperator._of_rows(rows, digest)
+        op._hold(rows, 0.0, digest)
+        return op
     matrix = _hermitian_matrix(rows)
     del rows  # freed before the imaginary part is assembled
     imag = _hermitian_matrix(_locop_rows(f.imag, windows))
     imag *= 1j
     matrix += imag
-    op = LocOperator.__new__(LocOperator)
-    op._gather(matrix, digest, copy=False)  # nothing else holds the matrix
+    rows, asymmetry, exact = _hermitian_gather(matrix)
+    # nothing else holds the matrix, so it is kept uncopied
+    op._hold(rows, asymmetry, digest, None if exact else matrix)
     return op
 
 
@@ -283,10 +276,12 @@ def eigendecompose(op: LocOperator) -> Spectrum:
 
 def save_locop(op: LocOperator, path):
     """Binary dump: 16-byte header (magic ``LOCOP1``, u32 L), then the
-    matrix row-major as little-endian float64 (real, imag) pairs."""
+    matrix row-major as little-endian float64 (real, imag) pairs, written
+    through the buffer protocol with no copy of a contiguous ``<c16``
+    matrix."""
     with _open_new(path) as fh:
         fh.write(_DUMP_HEADER.pack(_DUMP_MAGIC, op.size))
-        fh.write(np.ascontiguousarray(op.matrix, dtype="<c16").tobytes())
+        fh.write(np.ascontiguousarray(op.matrix, dtype="<c16"))
 
 
 def load_locop(path) -> LocOperator:

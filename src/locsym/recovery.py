@@ -41,11 +41,13 @@ agree to machine precision.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import WindowSystem, as_signal, is_integer, is_real
+from .core import (WindowSystem, as_signal, check_windows, is_integer,
+                   is_real)
 from .errors import DegenerateKernelError, NumericalError, ValidationError
 from .gabor import (_hermitian_gather, _lag_table, _midpoint_lag_spectrum,
                     _psd_symbol, _symbol_of_half)
@@ -92,15 +94,9 @@ def _check_options(size: int, name=None, **options) -> None:
 
 
 def _unit_window(phi, length: int) -> np.ndarray:
-    """``phi`` as a signal, checked to be unit-norm and ``length`` long."""
+    """``phi`` as a signal that passes ``check_windows`` at ``length``."""
     phi = as_signal(phi)
-    if phi.size != length:
-        raise ValidationError(
-            f"reconstruction window length {phi.size} != operator size {length}")
-    nrm = np.linalg.norm(phi)
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValidationError(
-            f"reconstruction window must be unit-norm, got ||.|| = {nrm!r}")
+    check_windows(phi, length)
     return phi
 
 
@@ -131,11 +127,17 @@ def wn_recover(op: LocOperator, phi, draws: int, noise_var: float,
     spectrograms.  The estimate is that average divided by the observed
     noise level, the mean of |dgt(noise, phi)|^2 over realizations and
     lattice points; it targets the squared symbol, so signs are lost.
-    A ``noise_var`` whose noise leaves the float range, overflowing or
-    underflowing to zero, raises NumericalError.
+    A ``noise_var`` whose noise leaves the float range raises
+    NumericalError: one below the smallest normal float, whose subnormal
+    noise would lose precision silently, before any draw, and one whose
+    noise overflows once drawn.
     """
     phi = _unit_window(phi, op.size)
     _check_options(op.size, draws=draws, noise_var=noise_var, seed=seed)
+    leaves = NumericalError(f"white noise of variance {noise_var!r} leaves "
+                            "the float range")
+    if noise_var < sys.float_info.min:
+        raise leaves
     length = op.size
     with np.errstate(over="ignore", invalid="ignore"):
         covariance, energy = _noise_covariance(
@@ -144,8 +146,7 @@ def wn_recover(op: LocOperator, phi, draws: int, noise_var: float,
         avg, clip = _psd_symbol(_hermitian_gather(covariance)[0], phi)
     noise_var_hat = energy / (draws * length)
     if not (0 < noise_var_hat < math.inf and np.all(np.isfinite(avg))):
-        raise NumericalError(f"white noise of variance {noise_var!r} leaves "
-                             "the float range")
+        raise leaves
     meta = {
         "draws": draws,
         "noise_var": noise_var,
@@ -241,9 +242,7 @@ def was_recover(spectrum: Spectrum, system: WindowSystem,
     eigenpairs.  With all terms and a rank-one system this is the Gabor
     projection estimator, computed through spectral data instead.
     """
-    if system.length != spectrum.size:
-        raise ValidationError(f"window length {system.length} != "
-                              f"operator size {spectrum.size}")
+    check_windows(system.windows, spectrum.size)
     rows, tail = _truncation(spectrum, terms)
     lag_hat = np.fft.fft(_lag_table(system.windows, system.weights), axis=1)
     out = _symbol_of_half(rows, lag_hat)
@@ -327,13 +326,17 @@ def recover(method: str, op: LocOperator, phi, *, terms=None, draws: int = 100,
     ``terms`` (was, wawd; default L) is the number N of leading eigenpairs
     kept.  Only N < L runs ``eigh``: at N = L, A_N is the Hermitian part
     of A and the tail mass is 0.  ``phi`` is the reconstruction window
-    (unused by wawd).  ``draws``, ``noise_var`` and ``seed`` configure wn,
+    (unused by wawd); every other method holds it to the one window rule,
+    ``core.check_windows``: unit-norm within UNIT_NORM_TOL and L long.
+    ``draws``, ``noise_var`` and ``seed`` configure wn,
     ``basis`` is pt's orthonormal family (None: complete, A A*) and
     ``region`` restricts gp.  ``spectrum`` (was, wawd) is
     ``eigendecompose(op)`` to reuse, so several calls on one operator run
     ``eigh`` at most once; None makes a fresh one.  Each of ``terms``,
     ``draws``, ``noise_var`` and ``seed`` is checked, type and range by its
-    one rule in ``_OPTION_RULES``, only by a method that reads it.
+    one rule in ``_OPTION_RULES``, only by a method that reads it; wn
+    also raises NumericalError, before any draw, for a ``noise_var`` below
+    the smallest normal float.
     """
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from locsym import (ValidationError, WindowSystem, hermite_system,
                     make_gaussian_window, spectrogram, tf_shift)
-from locsym.core import MAX_LENGTH, is_length
+from locsym.core import MAX_LENGTH, as_signal, is_length
 
 
 def random_signal(rng, length):
@@ -217,3 +217,29 @@ class TestWindowSystem:
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
             WindowSystem.from_pairs([])
+
+    # a malformed signal or system, and the message it is rejected with;
+    # the half-ones window of length 4 is unit-norm
+    MALFORMED = {
+        "signal-2-d": (lambda: as_signal(np.ones((2, 4))), "non-empty 1-d"),
+        "signal-empty": (lambda: as_signal([]), "non-empty 1-d"),
+        "signal-nan": (lambda: as_signal([1.0, np.nan]),
+                       "signal has non-finite"),
+        "weights-2-d": (lambda: WindowSystem(np.ones((1, 1)), np.ones(4) / 2),
+                        "weights must be 1-d and windows 2-d"),
+        "windows-3-d": (lambda: WindowSystem([1.0], np.ones((1, 1, 4)) / 2),
+                        "weights must be 1-d and windows 2-d"),
+        "two-weights-one-window": (
+            lambda: WindowSystem([0.5, 0.5], np.ones(4) / 2),
+            "one weight per window"),
+        "nan-weight": (lambda: WindowSystem([np.nan], np.ones(4) / 2),
+                       "window system has non-finite"),
+        "inf-window": (lambda: WindowSystem([1.0], [0.5, 0.5, 0.5, np.inf]),
+                       "window system has non-finite"),
+    }
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_rejects_malformed_input(self, case):
+        make, message = self.MALFORMED[case]
+        with pytest.raises(ValidationError, match=message):
+            make()

@@ -46,6 +46,9 @@ UNIT = L * L * 16  # bytes of one dense complex L x L matrix
 # symbol's, holds both: 1.51 units once built or loaded (1.00 when it held
 # only the matrix).  Its build peaks at 2.83 (2.77), scattering A(Im f)
 # beside A(Re f), and its load at 1.51 (1.07), the kept matrix and rows.
+# save_locop of an operator whose matrix has been read writes that matrix
+# through the buffer protocol and peaks at 0.006 (1.005 through a tobytes
+# copy).
 PEAK_BOUNDS = {
     "build_locop": 2.0,
     "build_locop_complex": 3.08,
@@ -58,6 +61,7 @@ PEAK_BOUNDS = {
     "wn_limit": 2.39,
     "save_csv": 1.12,
     "save_pgm": 1.06,
+    "save_locop": 0.26,
     "load_locop": 0.96,
     "load_locop_complex": 1.76,
     "eigendecompose": 0.25,
@@ -100,6 +104,7 @@ def apply_calls(tmp_path_factory):
         "wn_limit": lambda: wn_limit(spectrum, phi),  # warm-up runs eigh
         "save_csv": lambda: save_csv(est, out / "est.csv"),
         "save_pgm": lambda: save_pgm(est, out / "est.pgm"),
+        "save_locop": lambda: save_locop(op, out / "saved.locop"),
         "load_locop": lambda: load_locop(out / "op.locop"),
         "load_locop_complex": lambda: load_locop(out / "complex.locop"),
         "eigendecompose": lambda: eigendecompose(op),  # eigh is deferred

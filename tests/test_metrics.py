@@ -5,9 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locsym import (ValidationError, blur_bound, circ_conv2, gaussian_blur,
-                    gen_symbol, rel_l1_error, torus_distance_grid, variation,
-                    SymbolSpec)
+from locsym import (ValidationError, blur_bound, circ_conv2, deconvolve,
+                    gaussian_blur, gen_symbol, rel_l1_error,
+                    torus_distance_grid, variation, SymbolSpec)
+
+
+@pytest.mark.parametrize("call", [
+    rel_l1_error, blur_bound, circ_conv2, lambda a, b: deconvolve(a, b, 1e-6)],
+    ids=["rel_l1_error", "blur_bound", "circ_conv2", "deconvolve"])
+def test_maps_of_two_shapes_are_rejected(call):
+    with pytest.raises(ValidationError, match="shape"):
+        call(np.ones((8, 8)), np.ones((8, 9)))
 
 
 class TestRelL1:

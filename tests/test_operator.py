@@ -115,6 +115,9 @@ class TestOperatorMatrix:
     def test_rejects_non_square(self, matrix):
         with pytest.raises(ValidationError, match="square"):
             LocOperator(matrix)
+        # build_locop checks its symbol the same way, windows aside
+        with pytest.raises(ValidationError, match="symbol must be a square"):
+            build_locop(matrix, WindowSystem.single(make_gaussian_window(8)))
 
     # the main diagonal's imaginary part is checked too, though its rows
     # keep only the real part
@@ -170,6 +173,12 @@ class TestApply:
         direct = apply(op, psi)
         pipeline = dgt_adjoint(f * dgt(psi, g), g)
         assert np.max(np.abs(direct - pipeline)) < 1e-10
+
+    def test_rejects_a_signal_of_another_length(self, gauss64):
+        op = build_locop(np.ones((64, 64)), gauss64[1])
+        with pytest.raises(ValidationError,
+                           match="signal length 32 != operator size 64"):
+            apply(op, np.ones(32))
 
 
 class TestSpectrum:

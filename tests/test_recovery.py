@@ -1,6 +1,7 @@
 """The five recovery methods, impulse kernels and deconvolution."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from locsym import (DegenerateKernelError, LocOperator, NotSelfAdjointError,
                     pt_recover, recover, standard_basis, tf_shift,
                     torus_distance_grid, was_recover, wawd_recover, wigner,
                     wn_limit, wn_recover)
-from locsym.gabor import dgt, hermitian_symbol
+from locsym.gabor import dgt, hermitian_symbol, weyl_symbol
 from locsym.recovery import METHODS
 
 
@@ -182,13 +183,20 @@ class TestOptionRules:
         with pytest.raises(ValidationError, match="terms must be an integer"):
             recover(method, op, g, terms=terms)
 
-    @pytest.mark.parametrize("noise_var", [5e-324, 1e308])
+    @pytest.mark.parametrize("noise_var", [5e-324, 1e-310, 1e308])
     def test_noise_out_of_the_float_range_is_a_numerical_error(self,
                                                                noise_var):
-        # a valid variance whose noise squares underflow to zero or overflow
+        # a valid variance whose noise is subnormal or overflows
         g, _, _, op = gauss_setup(16, seed=6)
         with pytest.raises(NumericalError, match="float range"):
             wn_recover(op, g, 4, noise_var, 0)
+
+    def test_the_smallest_normal_variance_keeps_the_estimate(self):
+        g, _, _, op = gauss_setup(16, symbol=gen_symbol(
+            SymbolSpec("circle", 16, {}, (0.0, 1.0))))
+        unit = wn_recover(op, g, 3, 1.0, 0).estimate
+        tiny = wn_recover(op, g, 3, sys.float_info.min, 0).estimate
+        assert np.max(np.abs(tiny - unit)) <= 1e-14
 
     def test_gp_reads_no_option(self):
         g, _, _, op = gauss_setup(16, seed=6)
@@ -258,27 +266,44 @@ class TestRecoverDispatch:
                 wawd.estimate, wawd_recover(spec, terms).estimate)
             assert was.meta == was_recover(spec, ws, terms).meta
 
-    @pytest.mark.parametrize("entry", [
-        lambda op, ws, phi: wn_limit(eigendecompose(op), phi),
-        lambda op, ws, phi: wn_recover(op, phi, 4, 1.0, 0),
-        lambda op, ws, phi: pt_recover(op, None, phi),
-        lambda op, ws, phi: pt_recover(op, hermite_system(32, 2), phi),
-        lambda op, ws, phi: gp_recover(op, phi),
-        lambda op, ws, phi: impulse_kernel(ws, phi),
-        lambda op, ws, phi: impulse_kernel(ws, phi, mode="measured"),
-        lambda op, ws, phi: was_recover(eigendecompose(op),
-                                        WindowSystem.single(phi), 32),
-        lambda op, ws, phi: was_recover(eigendecompose(op),
-                                        WindowSystem.single(phi), 4),
-    ], ids=["wn_limit", "wn", "pt", "pt-hermite", "gp", "impulse-analytic",
-            "impulse-measured", "was", "was-truncated"])
+    # every entry that reads a window phi, at L = 32
+    WINDOW_ENTRIES = {
+        "wn_limit": lambda op, ws, phi: wn_limit(eigendecompose(op), phi),
+        "wn": lambda op, ws, phi: wn_recover(op, phi, 4, 1.0, 0),
+        "pt": lambda op, ws, phi: pt_recover(op, None, phi),
+        "pt-hermite": lambda op, ws, phi: pt_recover(
+            op, hermite_system(32, 2), phi),
+        "gp": lambda op, ws, phi: gp_recover(op, phi),
+        "impulse-analytic": lambda op, ws, phi: impulse_kernel(ws, phi),
+        "impulse-measured": lambda op, ws, phi: impulse_kernel(
+            ws, phi, mode="measured"),
+        "was": lambda op, ws, phi: was_recover(
+            eigendecompose(op), WindowSystem.single(phi), 32),
+        "was-truncated": lambda op, ws, phi: was_recover(
+            eigendecompose(op), WindowSystem.single(phi), 4),
+        "recover-was": lambda op, ws, phi: recover("was", op, phi),
+        "build_locop": lambda op, ws, phi: build_locop(
+            np.ones((32, 32)), WindowSystem.single(phi)),
+    }
+
+    @pytest.mark.parametrize("entry", WINDOW_ENTRIES)
     def test_a_window_of_another_length_is_rejected_first(self, entry,
                                                          eigh_calls):
         _, ws, _, op = gauss_setup(32, seed=3)
         with pytest.raises(ValidationError,
-                           match="window length 16 != operator size 32"):
-            entry(op, ws, make_gaussian_window(16))
+                           match="^window length 16 != operator size 32$"):
+            self.WINDOW_ENTRIES[entry](op, ws, make_gaussian_window(16))
         assert eigh_calls == []
+
+    @pytest.mark.parametrize("entry", WINDOW_ENTRIES)
+    def test_one_unit_norm_rule_for_every_window(self, entry):
+        # one tolerance, 1e-12, and one message wherever phi is read
+        g, ws, _, op = gauss_setup(32, seed=3)
+        with pytest.raises(ValidationError, match=(
+                r"^windows must be unit-norm within 1e-12, "
+                r"got \|\|\.\|\| = 1\.0000000001")):
+            self.WINDOW_ENTRIES[entry](op, ws, g * (1 + 1e-10))
+        self.WINDOW_ENTRIES[entry](op, ws, g * (1 + 1e-13))
 
     def test_a_passed_spectrum_is_reused_with_the_same_bits(self, eigh_calls):
         L = 48
@@ -342,6 +367,18 @@ class TestSpectrumOnDemand:
         was_recover(eigendecompose(op), ws, L)
         wawd_recover(eigendecompose(op), L)
         assert eigh_calls == []
+
+    @pytest.mark.parametrize("L", [32, 33])
+    def test_an_eigenpair_spectrum_symbolizes_its_matrix(self, L):
+        # its rows are gathered from the eigen-sum on first read
+        _, ws, _, op = gauss_setup(L, seed=36)
+        full = eigendecompose(op)
+        spec = Spectrum(full.eigenvalues, full.eigenvectors)
+        np.testing.assert_array_equal(
+            was_recover(spec, ws, L).estimate,
+            hermitian_symbol(spec.matrix, ws.windows[0]))
+        np.testing.assert_array_equal(wawd_recover(spec, L).estimate,
+                                      weyl_symbol(spec.matrix))
 
     @pytest.mark.parametrize("L", [64, 65, 255, 256, 512])
     def test_built_rows_give_the_bits_of_the_matrix(self, L):
@@ -575,6 +612,11 @@ class TestPlaneTiling:
         bad = np.stack([g, g])
         with pytest.raises(ValidationError):
             pt_recover(op, bad, g)
+
+    def test_rejects_a_family_of_another_length(self):
+        g, _, _, op = gauss_setup(16, seed=14)
+        with pytest.raises(ValidationError, match="basis length does not"):
+            pt_recover(op, standard_basis(8), g)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_a_non_finite_family(self, bad):

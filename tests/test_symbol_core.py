@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locsym import WindowSystem, build_locop, tf_shift
+from locsym import ValidationError, WindowSystem, build_locop, tf_shift
 from locsym.gabor import hermitian_symbol, weyl_symbol
 
 lengths = st.integers(5, 20)
@@ -61,6 +61,12 @@ def test_symbols_of_a_real_matrix_match_its_complex_cast():
                                    rtol=0, atol=1e-13)
         np.testing.assert_allclose(hermitian_symbol(m, phi),
                                    hermitian_symbol(cast, phi), rtol=0, atol=1e-13)
+
+
+def test_hermitian_symbol_rejects_a_window_of_another_length():
+    rng = np.random.default_rng(8)
+    with pytest.raises(ValidationError, match=r"matrix \(16, 16\) != window"):
+        hermitian_symbol(random_matrix(rng, 16), random_window(rng, 15))
 
 
 def folded_diagonal_sum(m):

@@ -169,6 +169,25 @@ class TestPgm:
         with pytest.raises(PgmError):
             load_pgm(path)
 
+    @pytest.mark.parametrize("data,message", [
+        (b"P2\n2 2\n3\n0 1 2\n", "expected 4 samples, got 3"),
+        (b"P2\n2 2\n3\n0 1 2 4\n", "sample outside 0..3")],
+        ids=["too-few", "above-maxval"])
+    def test_rejects_p2_samples_that_do_not_fit(self, tmp_path, data, message):
+        path = tmp_path / "samples.pgm"
+        path.write_bytes(data)
+        with pytest.raises(PgmError, match=message):
+            load_pgm(path)
+
+    @pytest.mark.parametrize("writer,grid,message", [
+        (save_pgm, np.ones((2, 3)), "map must be square"),
+        (save_csv, np.ones(4), "map must be 2-d")], ids=["pgm", "csv"])
+    def test_writers_reject_a_map_of_the_wrong_shape(self, tmp_path, writer,
+                                                     grid, message):
+        with pytest.raises(ValidationError, match=message):
+            writer(grid, tmp_path / "map")
+        assert not (tmp_path / "map").exists()
+
     def test_rejects_truncated_raster(self, tmp_path):
         path = tmp_path / "short.pgm"
         path.write_bytes(b"P5\n4 4\n255\n\x00\x01")
@@ -388,6 +407,13 @@ class TestCsv:
         save_pgm(base, path)
         f = gen_symbol(SymbolSpec("bitmap", 32, {"path": str(path)}))
         assert np.max(np.abs(f - base)) <= 1.0 / 65535
+
+    def test_a_bitmap_of_another_size_is_rejected(self, tmp_path):
+        path = tmp_path / "bmp.pgm"
+        save_pgm(gen_symbol(SymbolSpec("circle", 16)), path)
+        with pytest.raises(ValidationError,
+                           match="bitmap size 16 does not match requested size 32"):
+            gen_symbol(SymbolSpec("bitmap", 32, {"path": str(path)}))
 
 
 # every writer, with a map of size n
