@@ -21,7 +21,7 @@ from .core import (LENGTH_RULE, WindowSystem, hermite_system, is_length,
                    make_gaussian_window)
 from .errors import ValidationError
 from .metrics import rel_l1_error
-from .operator import build_locop, eigendecompose
+from .operator import build_locop
 from .recovery import METHODS, SQUARED_TARGET, _check_options, recover
 from .symbols import SymbolSpec, check_fields, gen_symbol
 
@@ -168,11 +168,9 @@ def bench_all(config: dict) -> dict:
         truth = gen_symbol(spec)
         signed = spec.value_range[0] < 0.0
         op = build_locop(truth, windows)
-        spectrum = eigendecompose(op)  # lazy: was and wawd share one eigh
         for method in METHODS:
             tic = time.perf_counter()
-            estimate = recover(method, op, phi, spectrum=spectrum,
-                               **options).estimate
+            estimate = recover(method, op, phi, **options).estimate
             seconds = time.perf_counter() - tic
             err, flags = _compare(method, estimate, truth, signed, size)
             rows.append({

@@ -155,6 +155,9 @@ def _cmd_recover(args) -> int:
         out_range = (0.0, max(1.0, *(v * v for v in value_range)))
     check_value_range(value_range)
     check_value_range(out_range)
+    basis = _parse_basis(args.basis, args.size) if args.method == "pt" else None
+    region = (_parse_region(args.region, args.size)
+              if args.method == "gp" and args.region else None)
     symbol = load_map(args.symbol, value_range)
     if symbol.shape[0] != args.size:
         raise ValidationError(
@@ -171,8 +174,6 @@ def _cmd_recover(args) -> int:
             raise ValidationError("loaded operator size mismatch")
     else:
         op = build_locop(symbol, windows)
-    if args.dump_operator:
-        save_locop(op, args.dump_operator)
 
     meta = {
         "schema_version": SCHEMA_VERSION,
@@ -190,11 +191,10 @@ def _cmd_recover(args) -> int:
                  "gp": {"region": args.region}}.get(args.method, {}))
     result = recover(
         args.method, op, phi, terms=args.eigs, draws=args.noise_draws,
-        noise_var=args.sigma2, seed=args.seed,
-        basis=_parse_basis(args.basis, args.size) if args.method == "pt" else None,
-        region=(_parse_region(args.region, args.size)
-                if args.method == "gp" and args.region else None),
+        noise_var=args.sigma2, seed=args.seed, basis=basis, region=region,
     )
+    if args.dump_operator:  # only once every option has passed
+        save_locop(op, args.dump_operator)
     meta.update({name: result.meta[key] for key, name in _SIDECAR_META
                  if key in result.meta})
     meta["seconds"] = time.perf_counter() - tic

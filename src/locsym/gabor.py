@@ -73,23 +73,30 @@ def _lag_table(windows: np.ndarray, weights=None, out=None) -> np.ndarray:
 
     Row d is S[u, u - d] = sum_k w_k g_k[u] conj(g_k[(u - d) mod L]).
     With no ``weights``, ``windows`` is one window g and the table is its
-    lag product, the diagonals of g g*, written into ``out`` if given.
-    Otherwise ``windows`` holds one window per row; each lag product is
-    written into one work buffer and added into the table, so memory does
-    not grow with their number.  One window at weight 1 is its lag product,
-    made as with no ``weights``.  No BLAS call: BLAS threading runs small
-    complex products at a flat ~16 ms in some processes.
+    lag product, the diagonals of g g*, written into ``out`` if given:
+    the delays of conj(g) are copied in and multiplied by g in place, for
+    which numpy allocates one broadcast buffer of up to 8192 entries; the
+    multiply of the delay view into ``out`` allocated two.  Otherwise
+    ``windows`` holds one window per row; the table starts as the first
+    window's weighted term and each further term is formed in one work
+    buffer and added in, so memory does not grow with their number.  No
+    BLAS call: BLAS threading runs small complex products at a flat
+    ~16 ms in some processes.
     """
-    if weights is not None and len(weights) == 1 and weights[0] == 1.0:
-        windows, weights = windows[0], None
-    if weights is not None:
-        table = np.zeros(_half_lattice(windows.shape[1]).shape, dtype=complex)
-        work = np.empty_like(table)
-        for w, g in zip(weights, windows):
-            table += np.multiply(_lag_table(g, out=work), w, out=work)
-        return table
-    return np.multiply(_delays(windows.conj())[:windows.size // 2 + 1], windows,
-                       out=out)
+    if weights is None:
+        lags = _delays(windows.conj())[:windows.size // 2 + 1]
+        if out is None:
+            out = np.empty(lags.shape, dtype=complex)
+        out[...] = lags
+        out *= windows
+        return out
+    table, work = _lag_table(windows[0]), None
+    table *= weights[0]
+    for w, g in zip(weights[1:], windows[1:]):
+        work = _lag_table(g, out=work)
+        work *= w
+        table += work
+    return table
 
 
 def _hermitian_gather(matrix: np.ndarray):

@@ -14,11 +14,13 @@ of a real symbol computes the rows; any other matrix, given or loaded,
 has them gathered in one pass over its half lattice.  The full-rank
 estimators (gp, was and wawd with all L eigenpairs, the measured impulse
 kernels) symbolize the rows, so a run of only those never forms an L x L
-matrix.  ``eigh``, behind the truncated spectra and wn_limit, reads the
-Hermitian matrix the rows give.  pt, wn, ``apply`` and ``save_locop``
-read the dense matrix: the one an operator was given, or, when the rows
-give it back bit for bit, one formed from the rows on first read and
-kept.
+matrix.  Each operator holds one lazy spectrum of its Hermitian part,
+which ``eigendecompose`` returns, so an operator runs ``eigh`` at most
+once and keeps its eigenpairs.  ``eigh``, behind the truncated spectra
+and wn_limit, reads the Hermitian matrix that spectrum forms from the
+rows.  pt, wn, ``apply`` and ``save_locop`` read the dense matrix: the
+one an operator was given, or, when the rows give it back bit for bit,
+its spectrum's, so such an operator holds one dense matrix at most.
 """
 
 from __future__ import annotations
@@ -47,29 +49,33 @@ class LocOperator:
 
     ``matrix`` must be a square 2-d array of size L in 4..MAX_LENGTH with
     finite entries (ValidationError otherwise).  ``symbol_hash`` records
-    the symbol the matrix was built from; it is informational and empty
-    for operators loaded from disk.
+    the symbol ``build_locop`` built the operator from; it is
+    informational and empty for an operator made from a matrix, as a
+    loaded one is.
 
     ``rows`` holds the diagonals d = 0..L//2 of the Hermitian part
     (A + A*)/2, row d being its entries [s, s - d], and ``asymmetry`` is
     max |A - A*|, 0 for an operator that ``build_locop`` made from a real
-    symbol.  A matrix that ``_hermitian_matrix(rows)`` gives back bit for
-    bit, as it does every built one, is formed from the rows on first read
-    and kept; any other is kept beside the rows, as a copy of the one
-    given or, built from a complex symbol, as assembled.  ``_hold`` alone
-    checks and sets this state, for the constructor and ``build_locop``
-    alike.  Both arrays are read-only, and no attribute can be reassigned,
-    so the two always agree.
+    symbol.  The operator holds one spectrum of that Hermitian part, made
+    on first use and holding the same rows; ``eigendecompose`` returns it,
+    so ``eigh`` runs at most once per operator and its eigenpairs are
+    kept.  A matrix that ``_hermitian_matrix(rows)`` gives back bit for
+    bit, as it does every built one, is that spectrum's ``matrix``, formed
+    from the rows on first read; any other is kept beside the rows, as a
+    copy of the one given or, built from a complex symbol, as assembled.
+    ``_hold`` alone checks and sets this state, for the constructor and
+    ``build_locop`` alike.  Both arrays are read-only, and no attribute
+    can be reassigned or deleted, so the two always agree.
     """
 
-    def __init__(self, matrix: np.ndarray, symbol_hash: str = ""):
+    def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValidationError(
                 f"operator matrix must be square, got shape {matrix.shape}")
         check_length(matrix.shape[0], "operator size")
         rows, asymmetry, exact = _hermitian_gather(matrix)
-        self._hold(rows, asymmetry, symbol_hash, None if exact else np.array(matrix))
+        self._hold(rows, asymmetry, "", None if exact else np.array(matrix))
 
     def _hold(self, rows: np.ndarray, asymmetry: float, symbol_hash: str,
               matrix=None):
@@ -93,7 +99,13 @@ class LocOperator:
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        return _read_only(_hermitian_matrix(self.rows))
+        return self._spectrum.matrix
+
+    @functools.cached_property
+    def _spectrum(self) -> Spectrum:
+        spectrum = Spectrum.__new__(Spectrum)  # holds the rows, no eigenpairs yet
+        spectrum.rows = self.rows
+        return spectrum
 
     @property
     def size(self) -> int:
@@ -105,21 +117,25 @@ class Spectrum:
 
     ``eigenvectors[i]`` is the eigenvector for ``eigenvalues[i]``.  Built
     either from eigenpairs, ``Spectrum(eigenvalues, eigenvectors)``, which
-    takes finite 1-d eigenvalues and finite (N, N) eigenvectors, N an
-    integer in 4..MAX_LENGTH, and keeps the arrays given, or by
-    :func:`eigendecompose` from an operator's half-lattice rows, which
-    defers ``eigh``: the first read of ``eigenvalues`` or ``eigenvectors``
-    runs it (a ``LinAlgError`` surfaces there) and keeps the result.
+    takes finite 1-d eigenvalues in descending |lambda| (the order the
+    truncations read) and finite (N, N) eigenvectors, N an integer in
+    4..MAX_LENGTH, and keeps the arrays given, or as the one spectrum an
+    operator holds of its half-lattice rows, which :func:`eigendecompose`
+    returns and which defers ``eigh``: the first read of ``eigenvalues``
+    or ``eigenvectors`` runs it (a ``LinAlgError`` surfaces there) and
+    keeps the result, read-only, for as long as the operator lives.
     ``matrix`` is the Hermitian matrix the spectrum describes and ``rows``
-    its half-lattice rows, read-only.  A spectrum of an operator holds the
-    operator's rows and forms ``matrix`` from them on first read; one of
+    its half-lattice rows, both read-only.  An operator's spectrum holds
+    the operator's rows and forms ``matrix`` from them on first read, the
+    operator's own dense matrix when the rows give it back; one of
     eigenpairs forms ``matrix`` as their eigen-sum and ``rows`` from it,
     each on first read.  Neither ``size``, ``rows`` nor ``matrix`` of an
     operator's spectrum runs ``eigh``.
-    ``matrix``, ``rows`` and the eigenpairs are ``functools.cached_property``
-    values: on Python 3.10 and 3.11 a first read holds a lock, so concurrent
-    first reads run ``eigh`` once; on 3.12 and later there is no lock and
-    two threads may each run it.
+    ``matrix``, ``rows`` and the eigenpairs, like an operator's spectrum
+    itself, are ``functools.cached_property`` values: on Python 3.10 and
+    3.11 a first read holds a lock, so concurrent first reads run ``eigh``
+    once; on 3.12 and later there is no lock and two threads may each run
+    it.
     """
 
     def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray):
@@ -131,6 +147,8 @@ class Spectrum:
         check_length(lam.size, "spectrum size")
         if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(vec))):
             raise ValidationError("eigenpairs have non-finite entries")
+        if np.any(np.diff(np.abs(lam)) > 0):
+            raise ValidationError("eigenvalues must be in descending |lambda|")
         self._pairs = (lam, vec)
 
     @property
@@ -147,8 +165,8 @@ class Spectrum:
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        return (_eigen_sum(*self._pairs) if "_pairs" in vars(self)
-                else _hermitian_matrix(self.rows))
+        return _read_only(_eigen_sum(*self._pairs) if "_pairs" in vars(self)
+                          else _hermitian_matrix(self.rows))
 
     @functools.cached_property
     def rows(self) -> np.ndarray:
@@ -158,7 +176,7 @@ class Spectrum:
     def _pairs(self):
         lam, vec = np.linalg.eigh(self.matrix)
         order = np.lexsort((-lam, -np.abs(lam)))
-        return lam[order], vec.T[order]
+        return _read_only(lam[order]), _read_only(vec.T[order])
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -246,7 +264,10 @@ def hermitian_part(op: LocOperator) -> np.ndarray:
     """(A + A*) / 2 of an operator that is Hermitian up to roundoff.
 
     Raises NotSelfAdjointError when its asymmetry max |A - A*| exceeds
-    HERMITIAN_REJECT_TOL; otherwise scatters its half-lattice rows.
+    HERMITIAN_REJECT_TOL; otherwise returns the read-only ``matrix`` of
+    the operator's one spectrum, scattered from its half-lattice rows on
+    first read and the operator's own ``matrix`` when the rows give that
+    back.
     """
     return eigendecompose(op).matrix
 
@@ -255,10 +276,12 @@ def eigendecompose(op: LocOperator) -> Spectrum:
     """Full spectrum of a Hermitian localization operator.
 
     Checks the operator's asymmetry now (NotSelfAdjointError) and returns
-    the lazy spectrum of its Hermitian part, which holds the operator's
-    half-lattice rows: the Hermitian matrix is formed, and ``eigh`` run on
-    it, on the first read of an eigenpair, so a ``LinAlgError`` surfaces
-    there, not here.
+    the one lazy spectrum of its Hermitian part that the operator holds,
+    the same object on every call: the Hermitian matrix is formed, and
+    ``eigh`` run on it, on the first read of an eigenpair, so a
+    ``LinAlgError`` surfaces there, not here.  The operator keeps those
+    eigenpairs, so it runs ``eigh`` at most once, whichever estimators
+    read them.
     Eigenpairs are ordered by descending |lambda| and then descending
     signed lambda with one stable sort, so exact ties keep ``eigh``'s
     order.
@@ -269,9 +292,7 @@ def eigendecompose(op: LocOperator) -> Spectrum:
         raise NotSelfAdjointError(
             f"operator asymmetry {op.asymmetry:.3e} exceeds {HERMITIAN_REJECT_TOL}"
             "; complex symbol or invalid window system?")
-    spectrum = Spectrum.__new__(Spectrum)  # holds the rows, no eigenpairs yet
-    spectrum.rows = op.rows
-    return spectrum
+    return op._spectrum
 
 
 def save_locop(op: LocOperator, path):

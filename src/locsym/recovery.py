@@ -3,13 +3,15 @@
 Each estimator is the lower symbol <M pi(z) phi, pi(z) phi> or the
 Weyl-type symbol of one matrix M; A_N keeps A's N leading eigenpairs.
 ``recover(method, op, phi, ...)`` is the one method dispatch over the
-public estimators.  was and wawd read eigenpairs of the lazy
-``eigendecompose`` spectrum only to truncate: with all L terms A_N is the
-Hermitian part of A, so was(L) is the lower symbol of A and wawd(L) its
-Weyl symbol, and neither runs ``eigh``.  Every operator and its spectrum
-hold the half-lattice rows of that Hermitian part, so was(L), wawd(L),
-gp and the measured impulse kernels symbolize a copy of them and form
-no dense matrix.
+public estimators.  was and wawd read eigenpairs of the lazy spectrum
+that ``eigendecompose`` returns only to truncate: with all L terms A_N is
+the Hermitian part of A, so was(L) is the lower symbol of A and wawd(L)
+its Weyl symbol, and neither runs ``eigh``.  An operator holds that one
+spectrum and keeps its eigenpairs, so any sequence of truncated was and
+wawd calls on one operator runs ``eigh`` once.  Every operator and its
+spectrum hold the half-lattice rows of that Hermitian part, so was(L),
+wawd(L), gp and the measured impulse kernels symbolize a copy of them and
+form no dense matrix.
 
 Methods
 -------
@@ -320,23 +322,23 @@ def gp_recover(op: LocOperator, phi, region=None) -> RecoveryResult:
 
 def recover(method: str, op: LocOperator, phi, *, terms=None, draws: int = 100,
             noise_var: float = 1.0, seed: int = 0, basis=None,
-            region=None, spectrum=None) -> RecoveryResult:
+            region=None) -> RecoveryResult:
     """Run one of the estimators in METHODS on ``op``.
 
     ``terms`` (was, wawd; default L) is the number N of leading eigenpairs
-    kept.  Only N < L runs ``eigh``: at N = L, A_N is the Hermitian part
-    of A and the tail mass is 0.  ``phi`` is the reconstruction window
+    kept.  Only N < L reads eigenpairs: at N = L, A_N is the Hermitian
+    part of A and the tail mass is 0.  was and wawd read the spectrum the
+    operator holds (``eigendecompose(op)``), which runs ``eigh`` on its
+    first eigenpair read and keeps the result, so several calls on one
+    operator run it at most once.  ``phi`` is the reconstruction window
     (unused by wawd); every other method holds it to the one window rule,
     ``core.check_windows``: unit-norm within UNIT_NORM_TOL and L long.
-    ``draws``, ``noise_var`` and ``seed`` configure wn,
-    ``basis`` is pt's orthonormal family (None: complete, A A*) and
-    ``region`` restricts gp.  ``spectrum`` (was, wawd) is
-    ``eigendecompose(op)`` to reuse, so several calls on one operator run
-    ``eigh`` at most once; None makes a fresh one.  Each of ``terms``,
-    ``draws``, ``noise_var`` and ``seed`` is checked, type and range by its
-    one rule in ``_OPTION_RULES``, only by a method that reads it; wn
-    also raises NumericalError, before any draw, for a ``noise_var`` below
-    the smallest normal float.
+    ``draws``, ``noise_var`` and ``seed`` configure wn, ``basis`` is pt's
+    orthonormal family (None: complete, A A*) and ``region`` restricts gp.
+    Each of ``terms``, ``draws``, ``noise_var`` and ``seed`` is checked,
+    type and range by its one rule in ``_OPTION_RULES``, only by a method
+    that reads it; wn also raises NumericalError, before any draw, for a
+    ``noise_var`` below the smallest normal float.
     """
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}")
@@ -347,8 +349,7 @@ def recover(method: str, op: LocOperator, phi, *, terms=None, draws: int = 100,
     if method == "gp":
         return gp_recover(op, phi, region)
     terms = op.size if terms is None else terms
-    if spectrum is None:
-        spectrum = eigendecompose(op)
+    spectrum = eigendecompose(op)  # the operator's own: one eigh at most
     if method == "was":
         return was_recover(spectrum, WindowSystem.single(phi), terms)
     return wawd_recover(spectrum, terms)

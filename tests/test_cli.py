@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 import warnings
 
 import numpy as np
@@ -525,6 +526,19 @@ def test_threads_without_threadpoolctl_sets_numpys_openblas(tmp_path,
     assert capsys.readouterr().err == ""
 
 
+def test_threads_with_threadpoolctl_sets_its_limit(tmp_path, monkeypatch,
+                                                   capsys):
+    limits = []
+    stub = types.ModuleType("threadpoolctl")
+    stub.threadpool_limits = limits.append
+    monkeypatch.setitem(sys.modules, "threadpoolctl", stub)
+    monkeypatch.setattr(cli, "_openblas_threads", None)  # must not be called
+    assert run("--threads", 2, "gen-symbol", "--kind", "circle", "--size", 16,
+               "--out", tmp_path / "c.pgm") == 0
+    assert limits == [2]
+    assert capsys.readouterr() == ("", "")
+
+
 def test_threads_without_threadpoolctl_warns(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
     monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
@@ -837,6 +851,8 @@ MALFORMED_RECOVER_OPTIONS = {
     "basis-malformed": ("--method", "pt", "--basis", "hermite:4@1"),
     "basis-unknown": ("--method", "pt", "--basis", "wavelet"),
     "region-malformed": ("--method", "gp", "--region", "1,2,3"),
+    "eigs-0": ("--method", "was", "--eigs", "0"),
+    "K-0": ("--method", "wn", "--K", "0"),
     "operator-size": ("--method", "gp", "--operator", "op16.bin"),
     "operator-length-0": ("--method", "gp", "--operator", "op0.bin"),
     "operator-length-3": ("--method", "gp", "--operator", "op3.bin"),
@@ -861,9 +877,21 @@ def test_malformed_recover_option_exits_2(tmp_path, circle, capsys,
         fh.seek(24)
         fh.write(np.array(np.nan, dtype="<f8").tobytes())
     assert run("recover", "--symbol", circle, "--size", 32, *options,
-               "--out", "x") == 2
+               "--dump-operator", "dump.bin", "--out", "x") == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "x.csv").exists()
+    assert not (tmp_path / "dump.bin").exists()
+
+
+def test_subnormal_sigma2_exits_3_and_writes_no_dump(tmp_path, circle,
+                                                     capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    inputs = sorted(p.name for p in tmp_path.iterdir())
+    assert run("recover", "--method", "wn", "--symbol", circle, "--size", 32,
+               "--sigma2", "1e-310", "--dump-operator", "dump.bin",
+               "--out", "x") == 3
+    assert "leaves the float range" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
 
 def test_dft_basis_writes_the_standard_basis_estimate(tmp_path, circle):

@@ -38,10 +38,13 @@ UNIT = L * L * 16  # bytes of one dense complex L x L matrix
 # read the whole dump onto the heap at 1.07); tracemalloc does not see the
 # map's file-backed pages.  eigendecompose of the loaded dump then only
 # checks the stored asymmetry, at 0.00 (it formed the Hermitian part and
-# took the asymmetry at 1.13).  build_locop stays at
+# took the asymmetry at 1.13).  build_locop peaked at
 # 1.77 without the scatter into A: its peak is in the assembly loop, where
-# the transformed symbol, the diagonals, the work buffer and numpy's
-# quarter-unit buffer for the lag product's broadcast multiply coexist.
+# the transformed symbol, the diagonals, the work buffer and numpy's two
+# eighth-unit buffers for the lag product's broadcast multiply coexist.
+# Formed by copying the delays into the table and multiplying in place,
+# the lag product takes one such buffer, and build_locop and cohen_class
+# now peak at 1.65.
 # An operator whose rows do not give its matrix back, as a complex
 # symbol's, holds both: 1.51 units once built or loaded (1.00 when it held
 # only the matrix).  Its build peaks at 2.83 (2.77), scattering A(Im f)
@@ -50,7 +53,7 @@ UNIT = L * L * 16  # bytes of one dense complex L x L matrix
 # through the buffer protocol and peaks at 0.006 (1.005 through a tobytes
 # copy).
 PEAK_BOUNDS = {
-    "build_locop": 2.0,
+    "build_locop": 1.90,
     "build_locop_complex": 3.08,
     "gp_recover": 1.75,
     "impulse_kernel": 1.75,
@@ -67,7 +70,7 @@ PEAK_BOUNDS = {
     "eigendecompose": 0.25,
     "eigendecompose_loaded": 0.25,
     "spectrogram": 1.76,
-    "cohen_class": 2.02,
+    "cohen_class": 1.90,
 }
 
 

@@ -284,10 +284,12 @@ class TestLazySpectrum:
         assert spec.eigenvectors.tobytes() == vec.T[order].tobytes()
 
     @pytest.mark.parametrize("case", ["nan-value", "inf-vector", "2-d-values",
-                                      "vectors-N-by-N+1", "N-3"])
+                                      "vectors-N-by-N+1", "N-3", "ascending"])
     def test_rejects_malformed_eigenpairs(self, case):
         lam, vec = np.linspace(1.0, 0.1, 8), np.eye(8, dtype=complex)
-        if case == "nan-value":
+        if case == "ascending":  # the truncation reads the leading |lambda|
+            lam = lam[::-1]
+        elif case == "nan-value":
             lam[3] = np.nan
         elif case == "inf-vector":
             vec[2, 5] = np.inf
@@ -314,7 +316,9 @@ class TestLazySpectrum:
                                                       eigh_calls, read,
                                                       monkeypatch, tmp_path):
         # a built operator and its loaded dump hold the same rows; neither
-        # spectrum scatters them into a matrix or runs eigh before a read
+        # spectrum scatters them into a matrix or runs eigh before a read,
+        # and the built one's matrix, which save_locop formed, is its
+        # spectrum's, so reading either scatters nothing more
         scattered = []
         hermitian_matrix = locsym.operator._hermitian_matrix
 
@@ -333,14 +337,34 @@ class TestLazySpectrum:
             assert spec.rows.tobytes() == built.rows.tobytes()
             assert scattered == [] and eigh_calls == []
             getattr(spec, read)
-            assert scattered == [(33, 64)]
+            assert scattered == ([] if op is built else [(33, 64)])
             assert len(eigh_calls) == (read == "eigenvalues")
+            assert spec.matrix is op.matrix
             assert spec.matrix.tobytes() == built.matrix.tobytes()
             for array in (op.rows, op.matrix, spec.rows):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0, 0] = 1.0
             with pytest.raises(AttributeError):
                 op.matrix = np.eye(64)
+            with pytest.raises(AttributeError):
+                del op.rows
+
+    def test_an_operator_holds_one_read_only_spectrum(self, gauss64,
+                                                      tmp_path):
+        # one spectrum per operator, whose matrix is the operator's own;
+        # no spectrum's matrix can be written into before eigh reads it,
+        # nor the eigenpairs the operator keeps for later calls
+        built = self.op(gauss64)
+        save_locop(built, tmp_path / "op.bin")
+        for op in (built, load_locop(tmp_path / "op.bin")):
+            spec = eigendecompose(op)
+            assert eigendecompose(op) is spec
+            assert op.matrix is spec.matrix
+        pairs = Spectrum(spec.eigenvalues, spec.eigenvectors)
+        for array in (spec.matrix, pairs.matrix, spec.eigenvalues,
+                      spec.eigenvectors):
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 1.0
 
     def test_non_hermitian_raises_before_eigh(self, gauss64, eigh_calls):
         matrix = np.eye(64, dtype=complex)
